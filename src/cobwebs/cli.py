@@ -18,15 +18,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .cobweb import SequenceError, SequenceSpecError, build_cobweb, parse_sequence_spec
-from .graphs import (
-    Chain,
-    CyclicInputError,
-    Digraph,
-    is_acyclic,
-    is_admissible,
-    is_regular,
-    topological_order,
-)
+from .graphs import CyclicInputError, Digraph, _check_first_order, is_acyclic
 from .oracle import FinitePoset, TooLargeError, order_dimension
 from .realizers import (
     DEFAULT_SEARCH_BUDGET,
@@ -35,7 +27,6 @@ from .realizers import (
     NotRegular,
     Orderable,
     decide_orderable,
-    verify_realizer,
 )
 from .serialization import (
     GRAPH_FORMATS,
@@ -121,18 +112,17 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    if not is_acyclic(g):
+    checks = _check_first_order(g)
+    if checks is None:
         print("acyclic: FAIL")
         _fail("input digraph contains a directed cycle", EXIT_BAD_INPUT)
     print("acyclic: PASS")
-    regular = is_regular(g)
+    regular, admissible = checks
     if regular:
         print("regular: PASS")
     else:
         t, h = regular.witness
         print(f"regular: FAIL (redundant arc {format_vertex(t)} -> {format_vertex(h)})")
-    chain = Chain(topological_order(g))
-    admissible = is_admissible(chain, g)
     if admissible:
         print("admissible: PASS")
     else:
@@ -147,8 +137,9 @@ def _cmd_realize(args: argparse.Namespace) -> int:
     verdict = decide_orderable(g, args.search_budget)
     if isinstance(verdict, Orderable):
         _write_text(realizer_to_json(verdict.realizer), args.output)
-        check = verify_realizer(verdict.realizer)
-        print(f"verification: {'PASS' if check else 'FAIL'}", file=sys.stderr)
+        # decide_orderable verifies every realizer it returns and raises
+        # when one fails, so this reports that check.
+        print("verification: PASS", file=sys.stderr)
         return EXIT_OK
     _write_text(verdict_to_json(verdict), args.output)
     if isinstance(verdict, NotRegular):

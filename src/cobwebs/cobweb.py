@@ -167,16 +167,19 @@ class CobwebPoset:
             for s in range(max_level + 1)
         )
         vertices = [v for level in levels for v in level]
+        starts = [0]
+        for level in levels:
+            starts.append(starts[-1] + len(level))
         arcs = [
             (u, w)
             for s in range(max_level)
-            for u in levels[s]
-            for w in levels[s + 1]
+            for u in range(starts[s], starts[s + 1])
+            for w in range(starts[s + 1], starts[s + 2])
         ]
         self.sequence = sequence
         self.max_level = max_level
         self.levels = levels
-        self.hasse = Digraph(vertices, arcs)
+        self.hasse = Digraph._from_index_arcs(vertices, arcs)
 
     def leq(self, x: Vertex, y: Vertex) -> bool:
         """The order relation: x on a strictly lower level, or x == y.

@@ -4,9 +4,11 @@ Everything downstream (cobweb construction, realizer search, the brute
 force oracle) works over the small vocabulary defined here: vertices
 labelled by position and level, digraphs with deterministic iteration
 order, chains, and reachability relations.  All reachability-style
-computations use per-vertex integer bitmasks, which keeps them fast
-enough that the exhaustive searches in the realizer module stay
-practical for a few hundred vertices.
+computations run on vertex indices and integer bitmasks: a Digraph
+keeps its arcs as index pairs and successor lists beside the Vertex
+objects, and reachability is kept as one mask per vertex, either over
+vertex indices or over positions along a chain.  Vertex objects appear
+only where a result is handed back to the caller.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 __all__ = [
     "Arc",
@@ -96,35 +98,71 @@ class Digraph:
     arcs with unknown endpoints are rejected.
     """
 
-    __slots__ = ("vertices", "arcs", "_index", "_succ")
+    __slots__ = ("vertices", "_arcs", "_index", "_succ", "_arc_index")
 
     def __init__(self, vertices: Iterable[Vertex], arcs: Iterable[Arc] = ()) -> None:
         vs = tuple(vertices)
-        index: dict[Vertex, int] = {}
-        for v in vs:
-            if v in index:
-                raise ValueError(f"duplicate vertex {v}")
-            index[v] = len(index)
+        index = _vertex_index(vs)
+
+        def resolved() -> Iterator[tuple[int, int]]:
+            for tail, head in arcs:
+                t = index.get(tail)
+                if t is None:
+                    raise ValueError(f"arc endpoint {tail} is not a vertex")
+                h = index.get(head)
+                if h is None:
+                    raise ValueError(f"arc endpoint {head} is not a vertex")
+                yield t, h
+
+        self._build(vs, index, resolved())
+
+    @classmethod
+    def _from_index_arcs(
+        cls, vertices: Iterable[Vertex], arcs: Iterable[tuple[int, int]]
+    ) -> Digraph:
+        """A Digraph from arcs given as index pairs into ``vertices``.
+
+        The constructor behind every parser and the cobweb builder: it
+        hashes no Vertex per arc.  Rejects duplicate vertices and loops
+        with the same messages as the public constructor; the indices
+        must be in range.
+        """
+        g = cls.__new__(cls)
+        vs = tuple(vertices)
+        g._build(vs, _vertex_index(vs), arcs)
+        return g
+
+    def _build(
+        self,
+        vs: tuple[Vertex, ...],
+        index: dict[Vertex, int],
+        arcs: Iterable[tuple[int, int]],
+    ) -> None:
         succ: list[list[int]] = [[] for _ in vs]
         seen: set[tuple[int, int]] = set()
-        kept: list[Arc] = []
-        for tail, head in arcs:
-            if tail not in index:
-                raise ValueError(f"arc endpoint {tail} is not a vertex")
-            if head not in index:
-                raise ValueError(f"arc endpoint {head} is not a vertex")
-            if tail == head:
-                raise ValueError(f"loop at {tail}")
-            key = (index[tail], index[head])
-            if key in seen:
+        kept: list[tuple[int, int]] = []
+        for arc in arcs:
+            t, h = arc
+            if t == h:
+                raise ValueError(f"loop at {vs[t]}")
+            if arc in seen:
                 continue
-            seen.add(key)
-            succ[key[0]].append(key[1])
-            kept.append((tail, head))
+            seen.add(arc)
+            succ[t].append(h)
+            kept.append(arc)
         self.vertices = vs
-        self.arcs = tuple(kept)
+        self._arcs: tuple[Arc, ...] | None = None
         self._index = index
         self._succ = succ
+        self._arc_index = kept
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        """The arcs as vertex pairs, in first-insertion order."""
+        if self._arcs is None:
+            vs = self.vertices
+            self._arcs = tuple([(vs[t], vs[h]) for t, h in self._arc_index])
+        return self._arcs
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -151,6 +189,17 @@ class Digraph:
 
     def successors(self, v: Vertex) -> tuple[Vertex, ...]:
         return tuple(self.vertices[j] for j in self._succ[self.index(v)])
+
+
+def _vertex_index(vs: tuple[Vertex, ...]) -> dict[Vertex, int]:
+    index = {v: i for i, v in enumerate(vs)}
+    if len(index) != len(vs):
+        seen: set[Vertex] = set()
+        for v in vs:
+            if v in seen:
+                raise ValueError(f"duplicate vertex {v}")
+            seen.add(v)
+    return index
 
 
 @dataclass(frozen=True)
@@ -232,6 +281,14 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _inverse(perm: Sequence[int]) -> list[int]:
+    """The inverse permutation: ``out[perm[k]] == k``."""
+    out = [0] * len(perm)
+    for k, i in enumerate(perm):
+        out[i] = k
+    return out
+
+
 def _kahn_order(n: int, succ: list[list[int]]) -> list[int] | None:
     """Smallest-index-first topological order, or None if there is a cycle."""
     indeg = [0] * n
@@ -251,6 +308,13 @@ def _kahn_order(n: int, succ: list[list[int]]) -> list[int] | None:
     return out if len(out) == n else None
 
 
+def _acyclic_order(g: Digraph) -> list[int]:
+    order = _kahn_order(len(g), g._succ)
+    if order is None:
+        raise CyclicInputError("digraph contains a directed cycle")
+    return order
+
+
 def is_acyclic(g: Digraph) -> bool:
     return _kahn_order(len(g), g._succ) is not None
 
@@ -261,24 +325,39 @@ def topological_order(g: Digraph) -> tuple[Vertex, ...]:
     Ties are broken by vertex construction order.  Raises
     CyclicInputError when no topological order exists.
     """
-    order = _kahn_order(len(g), g._succ)
-    if order is None:
-        raise CyclicInputError("digraph contains a directed cycle")
-    return tuple(g.vertices[i] for i in order)
+    return tuple(g.vertices[i] for i in _acyclic_order(g))
+
+
+def _position_reach(
+    succ: list[list[int]], order: Sequence[int], pos_of: Sequence[int]
+) -> list[int]:
+    """Reach masks over positions along a chain, from one reverse pass over the arcs.
+
+    ``order`` is a topological order of the vertex indices and
+    ``pos_of[i]`` is the chain position of vertex i.  Entry p has bit q
+    set when the vertex at position q is reachable, via at least one
+    arc, from the vertex at position p.  With ``pos_of`` the identity,
+    positions are vertex indices.
+    """
+    reach = [0] * len(order)
+    for i in reversed(order):
+        acc = 0
+        for j in succ[i]:
+            q = pos_of[j]
+            acc |= reach[q] | (1 << q)
+        reach[pos_of[i]] = acc
+    return reach
+
+
+def _along(g: Digraph, order: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Positions and reach masks along ``order``, a topological order of g."""
+    pos_of = _inverse(order)
+    return pos_of, _position_reach(g._succ, order, pos_of)
 
 
 def _reach_bits(g: Digraph) -> list[int]:
     """reach[i] = bitmask of vertex indices reachable from i via >= 1 arc."""
-    order = _kahn_order(len(g), g._succ)
-    if order is None:
-        raise CyclicInputError("digraph contains a directed cycle")
-    reach = [0] * len(g)
-    for i in reversed(order):
-        acc = 0
-        for j in g._succ[i]:
-            acc |= reach[j] | (1 << j)
-        reach[i] = acc
-    return reach
+    return _position_reach(g._succ, _acyclic_order(g), range(len(g)))
 
 
 def reachability(g: Digraph) -> Relation:
@@ -295,15 +374,39 @@ def reachability(g: Digraph) -> Relation:
     return Relation(vs, pairs, source=g)
 
 
-def _redundant_head_bits(g: Digraph, reach: list[int]) -> list[int]:
-    """red[i] = heads j such that an arc (i, j) is implied by a longer path."""
-    red = []
-    for i in range(len(g)):
+def _redundant_head_bits(
+    g: Digraph, pos_of: Sequence[int], reach: list[int]
+) -> list[int]:
+    """red[p] = positions q such that an arc from p to q is implied by a longer path.
+
+    Positions and ``reach`` are along one chain, as for _position_reach.
+    """
+    red = [0] * len(g)
+    for i, heads in enumerate(g._succ):
         acc = 0
-        for j in g._succ[i]:
-            acc |= reach[j]
-        red.append(acc)
+        for j in heads:
+            acc |= reach[pos_of[j]]
+        red[pos_of[i]] = acc
     return red
+
+
+def _regularity(g: Digraph, pos_of: Sequence[int], reach: list[int]) -> CheckResult:
+    """is_regular from reach masks already taken along some chain.
+
+    A vertex's reach is the union of its heads and the positions its
+    heads reach, so no arc out of it is redundant exactly when the two
+    parts are disjoint, i.e. when the counts add up.
+    """
+    red = _redundant_head_bits(g, pos_of, reach)
+    if all(
+        reach[p].bit_count() - red[p].bit_count() == len(heads)
+        for p, heads in zip(pos_of, g._succ)
+    ):
+        return CheckResult(True)
+    for t, h in g._arc_index:
+        if red[pos_of[t]] >> pos_of[h] & 1:
+            return CheckResult(False, (g.vertices[t], g.vertices[h]))
+    return CheckResult(True)
 
 
 def transitive_reduction(g: Digraph) -> Digraph:
@@ -312,11 +415,9 @@ def transitive_reduction(g: Digraph) -> Digraph:
     Uniqueness holds because g is acyclic; an arc is dropped exactly
     when some longer path joins its endpoints.
     """
-    red = _redundant_head_bits(g, _reach_bits(g))
-    kept = [
-        (t, h) for (t, h) in g.arcs if not (red[g._index[t]] >> g._index[h]) & 1
-    ]
-    return Digraph(g.vertices, kept)
+    red = _redundant_head_bits(g, range(len(g)), _reach_bits(g))
+    kept = [(t, h) for t, h in g._arc_index if not red[t] >> h & 1]
+    return Digraph._from_index_arcs(g.vertices, kept)
 
 
 def is_regular(g: Digraph) -> CheckResult:
@@ -325,18 +426,21 @@ def is_regular(g: Digraph) -> CheckResult:
     On failure the witness is the first redundant arc in insertion
     order, i.e. an arc whose endpoints are also joined by a longer path.
     """
-    red = _redundant_head_bits(g, _reach_bits(g))
-    for t, h in g.arcs:
-        if (red[g._index[t]] >> g._index[h]) & 1:
-            return CheckResult(False, (t, h))
-    return CheckResult(True)
+    return _regularity(g, range(len(g)), _reach_bits(g))
 
 
 def _require_same_vertex_set(c: Chain, g: Digraph) -> None:
-    if c.vertex_set != frozenset(g.vertices):
+    if c._rank.keys() != g._index.keys():
         raise VertexSetMismatchError(
             "chain does not cover exactly the digraph's vertex set"
         )
+
+
+def _chain_positions(c: Chain, g: Digraph) -> list[int]:
+    """pos_of[i] = position along c of vertex i of g; c must cover g."""
+    _require_same_vertex_set(c, g)
+    rank = c._rank
+    return [rank[v] for v in g.vertices]
 
 
 def is_linear_extension(c: Chain, g: Digraph) -> bool:
@@ -346,29 +450,8 @@ def is_linear_extension(c: Chain, g: Digraph) -> bool:
     (VertexSetMismatchError otherwise).  A cyclic digraph has no linear
     extension, so the answer is then False for every chain.
     """
-    _require_same_vertex_set(c, g)
-    rank = c._rank
-    return all(rank[t] < rank[h] for t, h in g.arcs)
-
-
-def _chain_position_reach(c: Chain, g: Digraph, reach: list[int]) -> list[int]:
-    """Remap reach masks from vertex indices to positions along c."""
-    n = len(g)
-    pos_of = [0] * n
-    for p, v in enumerate(c.order):
-        pos_of[g._index[v]] = p
-    return _position_reach(pos_of, reach)
-
-
-def _position_reach(pos_of: list[int], reach: list[int]) -> list[int]:
-    n = len(pos_of)
-    pos_reach = [0] * n
-    for i in range(n):
-        m = 0
-        for j in _iter_bits(reach[i]):
-            m |= 1 << pos_of[j]
-        pos_reach[pos_of[i]] = m
-    return pos_reach
+    pos_of = _chain_positions(c, g)
+    return all(pos_of[t] < pos_of[h] for t, h in g._arc_index)
 
 
 def _admissibility_witness(pos_reach: list[int]) -> tuple[int, int, int] | None:
@@ -393,6 +476,14 @@ def _admissibility_witness(pos_reach: list[int]) -> tuple[int, int, int] | None:
     return None
 
 
+def _admissibility(order: Sequence[Vertex], pos_reach: list[int]) -> CheckResult:
+    """is_admissible for the chain ``order`` from its reach masks."""
+    hit = _admissibility_witness(pos_reach)
+    if hit is None:
+        return CheckResult(True)
+    return CheckResult(False, tuple(order[p] for p in hit))
+
+
 def is_admissible(c: Chain, g: Digraph) -> CheckResult:
     """Whether chain c avoids every forbidden incomparability triple in g.
 
@@ -403,48 +494,73 @@ def is_admissible(c: Chain, g: Digraph) -> CheckResult:
     (by chain positions).  Requires an acyclic g covering the same
     vertex set as c; c itself does not have to be a linear extension.
     """
-    _require_same_vertex_set(c, g)
-    pos_reach = _chain_position_reach(c, g, _reach_bits(g))
-    hit = _admissibility_witness(pos_reach)
-    if hit is None:
-        return CheckResult(True)
-    return CheckResult(False, tuple(c.order[p] for p in hit))
+    pos_of = _chain_positions(c, g)
+    return _admissibility(c.order, _position_reach(g._succ, _acyclic_order(g), pos_of))
+
+
+def _check_first_order(g: Digraph) -> tuple[CheckResult, CheckResult] | None:
+    """Regularity of g and admissibility of its first topological order.
+
+    Both come from one Kahn pass and one reach pass; None when g is
+    cyclic.
+    """
+    order = _kahn_order(len(g), g._succ)
+    if order is None:
+        return None
+    pos_of, reach = _along(g, order)
+    chain = [g.vertices[i] for i in order]
+    return _regularity(g, pos_of, reach), _admissibility(chain, reach)
 
 
 def _iter_index_orders(n: int, succ: list[list[int]]) -> Iterator[tuple[int, ...]]:
     """All topological orders of 0..n-1, lexicographically smallest first.
 
-    Backtracking with an incrementally maintained sorted list of
-    available (in-degree zero) vertices.  Yields nothing if the graph
-    is cyclic.
+    Depth-first backtracking over an explicit stack, with an
+    incrementally maintained sorted list of available (in-degree zero)
+    vertices, so the depth is not bounded by the interpreter's
+    recursion limit.  Yields nothing if the graph is cyclic.
     """
+    if n == 0:
+        yield ()
+        return
     indeg = [0] * n
     for heads in succ:
         for j in heads:
             indeg[j] += 1
     avail = sorted(i for i in range(n) if indeg[i] == 0)
     order: list[int] = []
-
-    def walk() -> Iterator[tuple[int, ...]]:
-        if len(order) == n:
-            yield tuple(order)
-            return
-        for v in tuple(avail):
-            avail.remove(v)
-            order.append(v)
-            for w in succ[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    insort(avail, w)
-            yield from walk()
+    # One frame per chosen prefix: the vertices available after it, and
+    # how many of them have been tried.  Trying the next one first takes
+    # back the previous choice, which is the last vertex of ``order``.
+    choices = [tuple(avail)]
+    tried = [0]
+    while choices:
+        k = tried[-1]
+        if k:
+            v = order.pop()
             for w in succ[v]:
                 if indeg[w] == 0:
                     avail.remove(w)
                 indeg[w] += 1
-            order.pop()
             insort(avail, v)
-
-    yield from walk()
+        cands = choices[-1]
+        if k == len(cands):
+            choices.pop()
+            tried.pop()
+            continue
+        tried[-1] = k + 1
+        v = cands[k]
+        avail.remove(v)
+        order.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                insort(avail, w)
+        if len(order) == n:
+            yield tuple(order)
+        else:
+            choices.append(tuple(avail))
+            tried.append(0)
 
 
 def iter_topological_orders(g: Digraph, limit: int | None = None) -> Iterator[Chain]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from typing import Sequence
 
 from .cobweb import CobwebPoset
 from .graphs import (
@@ -23,16 +24,17 @@ from .graphs import (
     NotLinearExtensionError,
     Vertex,
     VertexSetMismatchError,
+    _acyclic_order,
     _admissibility_witness,
-    _chain_position_reach,
+    _along,
+    _chain_positions,
+    _inverse,
     _iter_bits,
     _iter_index_orders,
+    _kahn_order,
     _position_reach,
-    _reach_bits,
-    is_acyclic,
+    _regularity,
     is_linear_extension,
-    is_regular,
-    reachability,
 )
 
 __all__ = [
@@ -147,6 +149,23 @@ class NonTransitiveConjugate:
 OrderabilityVerdict = Orderable | NotRegular | NoAdmissibleChain | NonTransitiveConjugate
 
 
+def _mismatch_masks(reach: list[int], second: Sequence[int]) -> list[int]:
+    """Per position p along the first chain, the pairs (p, q) that break a realizer.
+
+    ``reach`` holds reach masks in positions along the first chain, and
+    ``second`` lists those positions in the order of the second chain.
+    Both chains put p before q exactly when q is reachable from p; bit q
+    of entry p is set where that fails.  One walk back along the second
+    chain collects, for each p, the positions after p in both chains.
+    """
+    diff = [0] * len(reach)
+    after = 0  # positions met so far, i.e. later along the second chain
+    for p in reversed(second):
+        diff[p] = (after >> (p + 1) << (p + 1)) ^ reach[p]
+        after |= 1 << p
+    return diff
+
+
 def verify_realizer(r: Realizer) -> CheckResult:
     """Check the realizer's defining equation directly.
 
@@ -155,19 +174,60 @@ def verify_realizer(r: Realizer) -> CheckResult:
     first differing pair (by target vertex order).  Chains that fail to
     cover the target's vertex set raise VertexSetMismatchError.
     """
-    if r.first.vertex_set != frozenset(r.target.vertices):
+    g = r.target
+    rank = r.first._rank
+    if rank.keys() != g._index.keys():
         raise VertexSetMismatchError(
             "realizer chains do not cover the target's vertex set"
         )
-    got = intersect_chains(r.first, r.second)
-    expected = set(reachability(r.target).pairs)
-    expected.update((v, v) for v in r.target.vertices)
-    diff = got.symmetric_difference(expected)
-    if not diff:
-        return CheckResult(True)
-    idx = r.target._index
-    witness = min(diff, key=lambda pair: (idx[pair[0]], idx[pair[1]]))
-    return CheckResult(False, witness)
+    if r.second._rank.keys() != rank.keys():
+        raise VertexSetMismatchError("chains cover different vertex sets")
+    pos_of = [rank[v] for v in g.vertices]
+    reach = _position_reach(g._succ, _acyclic_order(g), pos_of)
+    diff = _mismatch_masks(reach, [rank[v] for v in r.second.order])
+    for i, p in enumerate(pos_of):
+        if diff[p]:
+            j = min(g._index[r.first.order[q]] for q in _iter_bits(diff[p]))
+            return CheckResult(False, (g.vertices[i], g.vertices[j]))
+    return CheckResult(True)
+
+
+def _conjugate_positions(
+    x: Chain,
+    succ: list[list[int]],
+    order: list[int],
+    pos_of: list[int],
+    reach: list[int],
+) -> list[int]:
+    """Positions along x in the order of its conjugate chain.
+
+    x must be a linear extension whose vertex indices are ``order``,
+    ``pos_of`` the inverse of ``order``, and ``reach`` the reach masks
+    in positions along x.  Position p beats q when q is reachable from
+    p, or q precedes p with no path between them.  The conjugate is a
+    chain exactly when this tournament is transitive, i.e. when the
+    scores (how many positions each one beats) are n-1, ..., 0; it then
+    lists the positions by falling score.  Otherwise the positions whose
+    scores do read n-1, n-2, ... are the ones a greedy peel of unbeaten
+    positions takes, and the rest hold the cycle that
+    ConjugateCycleError reports.
+    """
+    n = len(order)
+    above = [0] * n  # positions from which p is reachable
+    for p, i in enumerate(order):
+        mask = above[p] | (1 << p)
+        for j in succ[i]:
+            above[pos_of[j]] |= mask
+    score = [reach[p].bit_count() + p - above[p].bit_count() for p in range(n)]
+    ranked = sorted(range(n), key=score.__getitem__, reverse=True)
+    for k, p in enumerate(ranked):
+        if score[p] != n - 1 - k:
+            beats = [reach[q] | (((1 << q) - 1) & ~above[q]) for q in range(n)]
+            remaining = (1 << n) - 1
+            for q in ranked[:k]:
+                remaining &= ~(1 << q)
+            raise ConjugateCycleError(_tournament_cycle(beats, remaining, x))
+    return ranked
 
 
 def conjugate_chain(x: Chain, g: Digraph) -> Chain:
@@ -182,31 +242,11 @@ def conjugate_chain(x: Chain, g: Digraph) -> Chain:
     """
     if not is_linear_extension(x, g):
         raise NotLinearExtensionError("chain is not a linear extension of the digraph")
-    n = len(g)
-    pos_reach = _chain_position_reach(x, g, _reach_bits(g))
-    pred = [0] * n
-    for p in range(n):
-        for q in _iter_bits(pos_reach[p]):
-            pred[q] |= 1 << p
-    # p beats q when q is reachable from p, or q precedes p in x with
-    # no path between them.  x being an extension keeps reach forward,
-    # so the two cases never overlap.
-    beats = [
-        pos_reach[p] | (((1 << p) - 1) & ~pred[p]) for p in range(n)
-    ]
-    remaining = (1 << n) - 1
-    out: list[Vertex] = []
-    while remaining:
-        pick = -1
-        for p in _iter_bits(remaining):
-            if beats[p] & remaining == remaining & ~(1 << p):
-                pick = p
-                break
-        if pick < 0:
-            raise ConjugateCycleError(_tournament_cycle(beats, remaining, x))
-        out.append(x.order[pick])
-        remaining &= ~(1 << pick)
-    return Chain(out)
+    pos_of = _chain_positions(x, g)
+    order = _inverse(pos_of)
+    reach = _position_reach(g._succ, order, pos_of)
+    mate = _conjugate_positions(x, g._succ, order, pos_of, reach)
+    return Chain(x.order[p] for p in mate)
 
 
 def _tournament_cycle(
@@ -282,41 +322,46 @@ def decide_orderable(
     up to ``search_budget`` further orders and a failure to find an
     admissible chain is reported as inconclusive.
 
+    One Kahn pass and one reach pass along its order serve acyclicity,
+    regularity and the first order examined; every order examined gets
+    its reach masks from one pass over the arcs, and the admissibility
+    check, the conjugate and the verification all read those masks.
+
     Raises CyclicInputError for cyclic input.
     """
     if search_budget < 1:
         raise ValueError(f"search_budget must be positive, got {search_budget}")
-    if not is_acyclic(g):
+    n = len(g)
+    first = _kahn_order(n, g._succ)
+    if first is None:
         raise CyclicInputError("digraph contains a directed cycle")
-    regular = is_regular(g)
+    first_along = _along(g, first)
+    regular = _regularity(g, *first_along)
     if not regular:
         return NotRegular(regular.witness)
 
-    n = len(g)
-    reach = _reach_bits(g)
-    pos_of = [0] * n
     cycle_witness: tuple[Vertex, ...] | None = None
 
-    def attempt(order_idx: tuple[int, ...]) -> Orderable | None:
+    def attempt(
+        order_idx: tuple[int, ...], pos_of: list[int], reach: list[int]
+    ) -> Orderable | None:
         nonlocal cycle_witness
-        for p, i in enumerate(order_idx):
-            pos_of[i] = p
-        if _admissibility_witness(_position_reach(pos_of, reach)) is not None:
+        if _admissibility_witness(reach) is not None:
             return None
         chain = Chain(g.vertices[i] for i in order_idx)
         try:
-            mate = conjugate_chain(chain, g)
+            mate = _conjugate_positions(chain, g._succ, order_idx, pos_of, reach)
         except ConjugateCycleError as err:
             if cycle_witness is None:
                 cycle_witness = err.cycle
             return None
-        realizer = Realizer(chain, mate, g)
-        if not verify_realizer(realizer):
+        if any(_mismatch_masks(reach, mate)):
             raise AssertionError("constructed realizer failed verification")
-        return Orderable(realizer)
+        return Orderable(Realizer(chain, Chain(chain.order[p] for p in mate), g))
 
     produced = 0
     exhausted = False
+    # The lexicographically first topological order is Kahn's.
     orders = _iter_index_orders(n, g._succ)
     while True:
         order_idx = next(orders, None)
@@ -326,7 +371,8 @@ def decide_orderable(
         if produced == search_budget:
             break
         produced += 1
-        found = attempt(order_idx)
+        along = first_along if produced == 1 else _along(g, order_idx)
+        found = attempt(order_idx, *along)
         if found is not None:
             return found
 
@@ -341,7 +387,7 @@ def decide_orderable(
         if order_idx in seen:
             continue
         seen.add(order_idx)
-        found = attempt(order_idx)
+        found = attempt(order_idx, *_along(g, order_idx))
         if found is not None:
             return found
     if cycle_witness is not None:

@@ -8,9 +8,9 @@ emitters are byte-deterministic for a given input.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Iterator
 
-from .graphs import Arc, Digraph, Vertex
+from .graphs import Digraph, Vertex, _inverse
 from .realizers import (
     NoAdmissibleChain,
     NonTransitiveConjugate,
@@ -47,15 +47,26 @@ def format_vertex(v: Vertex) -> str:
     return f"{v.position},{v.level}"
 
 
-def parse_vertex(text: str) -> Vertex:
+def _vertex_key(text: str) -> tuple[int, int]:
+    """The (position, level) that 'position,level' names, not yet range-checked."""
     parts = text.split(",")
     if len(parts) != 2:
         raise FormatError(f"expected a vertex as 'position,level', got {text!r}")
     try:
-        position, level = int(parts[0]), int(parts[1])
-        return Vertex(position, level)
+        return int(parts[0]), int(parts[1])
     except ValueError as err:
         raise FormatError(f"invalid vertex {text!r}: {err}") from None
+
+
+def _text_vertex(key: tuple[int, int], text: str) -> Vertex:
+    try:
+        return Vertex(*key)
+    except ValueError as err:
+        raise FormatError(f"invalid vertex {text!r}: {err}") from None
+
+
+def parse_vertex(text: str) -> Vertex:
+    return _text_vertex(_vertex_key(text), text)
 
 
 def _vertex_json(v: Vertex) -> list[int]:
@@ -74,28 +85,38 @@ def _block(name: str, items: list[str]) -> str:
     return f'"{name}": [\n    {body}\n  ]'
 
 
-def _vertex_from_json(item: Any) -> Vertex:
-    if (
-        not isinstance(item, list)
-        or len(item) != 2
-        or not all(isinstance(x, int) for x in item)
-    ):
-        raise FormatError(f"expected a vertex as [position, level], got {item!r}")
-    try:
-        return Vertex(item[0], item[1])
-    except ValueError as err:
-        raise FormatError(str(err)) from None
+def _json_vertex_key(item: Any) -> tuple[int, int]:
+    """The (position, level) of a JSON vertex ``[position, level]``.
+
+    JSON true and false are not coordinates, although Python's bool is
+    an int.
+    """
+    if isinstance(item, list) and len(item) == 2:
+        position, level = item
+        if type(position) is int and type(level) is int:
+            if position >= 1 and level >= 0:
+                return position, level
+            try:
+                Vertex(position, level)  # raises, wording the range error
+            except ValueError as err:
+                raise FormatError(str(err)) from None
+    raise FormatError(f"expected a vertex as [position, level], got {item!r}")
 
 
 def graph_to_json(g: Digraph) -> str:
-    vertices = _block("vertices", [_inline(_vertex_json(v)) for v in g.vertices])
-    arcs = _block(
-        "arcs", [_inline([_vertex_json(t), _vertex_json(h)]) for t, h in g.arcs]
-    )
+    texts = [f"[{v.position}, {v.level}]" for v in g.vertices]
+    vertices = _block("vertices", texts)
+    arcs = _block("arcs", [f"[{texts[t]}, {texts[h]}]" for t, h in g._arc_index])
     return "{\n  " + vertices + ",\n  " + arcs + "\n}\n"
 
 
 def graph_from_json(text: str) -> Digraph:
+    """Parse the JSON format straight into vertex indices.
+
+    Every vertex and arc is checked for shape first, then the vertex
+    list for duplicates (before any arc is resolved), then each arc for
+    unknown endpoints and loops.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as err:
@@ -108,14 +129,26 @@ def graph_from_json(text: str) -> Digraph:
         payload["arcs"], list
     ):
         raise FormatError("'vertices' and 'arcs' must be lists")
-    vertices = [_vertex_from_json(item) for item in payload["vertices"]]
-    arcs = []
+    keys = [_json_vertex_key(item) for item in payload["vertices"]]
+    arc_keys = []
     for item in payload["arcs"]:
         if not isinstance(item, list) or len(item) != 2:
             raise FormatError(f"expected an arc as [tail, head], got {item!r}")
-        arcs.append((_vertex_from_json(item[0]), _vertex_from_json(item[1])))
+        arc_keys.append((_json_vertex_key(item[0]), _json_vertex_key(item[1])))
+    index = {key: i for i, key in enumerate(keys)}
+
+    def resolved() -> Iterator[tuple[int, int]]:
+        for tail, head in arc_keys:
+            t = index.get(tail)
+            if t is None:
+                raise FormatError(f"arc endpoint {Vertex(*tail)} is not a vertex")
+            h = index.get(head)
+            if h is None:
+                raise FormatError(f"arc endpoint {Vertex(*head)} is not a vertex")
+            yield t, h
+
     try:
-        return Digraph(vertices, arcs)
+        return Digraph._from_index_arcs([Vertex(*key) for key in keys], resolved())
     except ValueError as err:
         raise FormatError(str(err)) from None
 
@@ -124,10 +157,16 @@ def _level_position(v: Vertex) -> tuple[int, int]:
     return (v.level, v.position)
 
 
-def _sorted_arcs(g: Digraph) -> list[Arc]:
-    return sorted(
-        g.arcs, key=lambda a: (_level_position(a[0]), _level_position(a[1]))
-    )
+def _level_order(g: Digraph) -> list[int]:
+    """Vertex indices sorted by level, then position."""
+    return sorted(range(len(g)), key=lambda i: _level_position(g.vertices[i]))
+
+
+def _sorted_arcs(g: Digraph, order: list[int]) -> list[tuple[int, int]]:
+    """Index arcs sorted by tail, then head, in the vertex ``order`` given."""
+    rank = _inverse(order)
+    n = len(order)
+    return sorted(g._arc_index, key=lambda a: rank[a[0]] * n + rank[a[1]])
 
 
 def graph_to_edgelist(g: Digraph) -> str:
@@ -136,16 +175,12 @@ def graph_to_edgelist(g: Digraph) -> str:
     Arcs come out sorted by level then position, so the text does not
     preserve the vertex construction order of the digraph.
     """
-    touched = {v for arc in g.arcs for v in arc}
-    lines = [
-        f"{format_vertex(t)} -> {format_vertex(h)}" for t, h in _sorted_arcs(g)
-    ]
-    lines.extend(
-        format_vertex(v)
-        for v in sorted(
-            (v for v in g.vertices if v not in touched), key=_level_position
-        )
-    )
+    texts = [format_vertex(v) for v in g.vertices]
+    order = _level_order(g)
+    arcs = _sorted_arcs(g, order)
+    touched = {i for arc in arcs for i in arc}
+    lines = [f"{texts[t]} -> {texts[h]}" for t, h in arcs]
+    lines.extend(texts[i] for i in order if i not in touched)
     if not lines:
         return ""
     return "\n".join(lines) + "\n"
@@ -156,14 +191,25 @@ def graph_from_edgelist(text: str) -> Digraph:
 
     Blank lines are skipped and '#' starts a comment that runs to the
     end of the line.  A line is either 'tail -> head' or a single bare
-    vertex.  Vertices are registered in first-appearance order.
+    vertex.  Vertices are registered in first-appearance order; tokens
+    that parse to the same position and level, such as '1,2', '1, 2'
+    and '01,2', name the same vertex.
     """
-    vertices: dict[Vertex, None] = {}
-    arcs: list[Arc] = []
+    index: dict[tuple[int, int], int] = {}
+    seen_text: dict[str, int] = {}  # skips parsing a token met before
+    vertices: list[Vertex] = []
+    arcs: list[tuple[int, int]] = []
 
-    def register(v: Vertex) -> Vertex:
-        vertices.setdefault(v, None)
-        return v
+    def register(token: str) -> int:
+        i = seen_text.get(token)
+        if i is None:
+            key = _vertex_key(token)
+            i = index.get(key)
+            if i is None:
+                vertices.append(_text_vertex(key, token))
+                i = index[key] = len(index)
+            seen_text[token] = i
+        return i
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -172,33 +218,29 @@ def graph_from_edgelist(text: str) -> Digraph:
         try:
             if "->" in line:
                 lhs, _, rhs = line.partition("->")
-                tail = register(parse_vertex(lhs.strip()))
-                head = register(parse_vertex(rhs.strip()))
-                arcs.append((tail, head))
+                arcs.append((register(lhs.strip()), register(rhs.strip())))
             else:
-                register(parse_vertex(line))
+                register(line)
         except FormatError as err:
             raise FormatError(f"line {lineno}: {err}") from None
     try:
-        return Digraph(vertices, arcs)
+        return Digraph._from_index_arcs(vertices, arcs)
     except ValueError as err:
         raise FormatError(str(err)) from None
 
 
 def graph_to_dot(g: Digraph) -> str:
     """Graphviz DOT with one rank=same block per level, bottom to top."""
-    by_level: dict[int, list[Vertex]] = {}
-    for v in g.vertices:
-        by_level.setdefault(v.level, []).append(v)
+    texts = [f'"{format_vertex(v)}"' for v in g.vertices]
+    order = _level_order(g)
+    by_level: dict[int, list[str]] = {}
+    for i in order:
+        by_level.setdefault(g.vertices[i].level, []).append(texts[i])
     lines = ["digraph {", "  rankdir=BT;"]
-    for level in sorted(by_level):
-        row = "; ".join(
-            f'"{format_vertex(v)}"'
-            for v in sorted(by_level[level], key=_level_position)
-        )
-        lines.append(f"  {{ rank=same; {row}; }}")
-    for t, h in _sorted_arcs(g):
-        lines.append(f'  "{format_vertex(t)}" -> "{format_vertex(h)}";')
+    for row in by_level.values():
+        lines.append(f"  {{ rank=same; {'; '.join(row)}; }}")
+    for t, h in _sorted_arcs(g, order):
+        lines.append(f"  {texts[t]} -> {texts[h]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
