@@ -1,13 +1,14 @@
 """Command line interface.
 
 Subcommands: gen (build a cobweb Hasse diagram), check (acyclicity,
-regularity, admissibility of the canonical chain), realize (search for
-a two-chain realizer), dim (brute-force order dimension), export
-(format conversion).
+regularity, and whether an admissible chain exists), realize (decide
+orderability and print a two-chain realizer), dim (order dimension: up
+to 2 through the decider, 3 by brute force), export (format
+conversion).
 
 Exit codes: 0 success, 1 check failed, 2 malformed input or cyclic
 graph, 3 invalid sequence values, and for realize: 4 not regular,
-5 no admissible chain found, 6 non-transitive conjugate.
+5 no admissible chain.
 """
 
 from __future__ import annotations
@@ -18,16 +19,9 @@ from pathlib import Path
 from typing import NoReturn
 
 from .cobweb import SequenceError, SequenceSpecError, build_cobweb, parse_sequence_spec
-from .graphs import CyclicInputError, Digraph, _check_first_order, is_acyclic
+from .graphs import CyclicInputError, Digraph, is_acyclic, transitive_reduction
 from .oracle import FinitePoset, TooLargeError, order_dimension
-from .realizers import (
-    DEFAULT_SEARCH_BUDGET,
-    NoAdmissibleChain,
-    NonTransitiveConjugate,
-    NotRegular,
-    Orderable,
-    decide_orderable,
-)
+from .realizers import NotRegular, Orderable, _check_graph, decide_orderable
 from .serialization import (
     GRAPH_FORMATS,
     FormatError,
@@ -44,7 +38,6 @@ EXIT_BAD_INPUT = 2
 EXIT_BAD_SEQUENCE = 3
 EXIT_NOT_REGULAR = 4
 EXIT_NO_ADMISSIBLE = 5
-EXIT_NON_TRANSITIVE = 6
 
 
 class _CliError(Exception):
@@ -112,7 +105,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    checks = _check_first_order(g)
+    checks = _check_graph(g)
     if checks is None:
         print("acyclic: FAIL")
         _fail("input digraph contains a directed cycle", EXIT_BAD_INPUT)
@@ -133,8 +126,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_realize(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    _require_acyclic(g)
-    verdict = decide_orderable(g, args.search_budget)
+    try:
+        verdict = decide_orderable(g)
+    except CyclicInputError:
+        _fail("input digraph contains a directed cycle", EXIT_BAD_INPUT)
     if isinstance(verdict, Orderable):
         _write_text(realizer_to_json(verdict.realizer), args.output)
         # decide_orderable verifies every realizer it returns and raises
@@ -149,22 +144,34 @@ def _cmd_realize(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return EXIT_NOT_REGULAR
-    note = "" if verdict.exhaustive else " (search budget exhausted, inconclusive)"
-    if isinstance(verdict, NoAdmissibleChain):
-        print(f"no admissible chain{note}", file=sys.stderr)
-        return EXIT_NO_ADMISSIBLE
-    assert isinstance(verdict, NonTransitiveConjugate)
-    print(f"non-transitive conjugate{note}", file=sys.stderr)
-    return EXIT_NON_TRANSITIVE
+    print("no admissible chain", file=sys.stderr)
+    return EXIT_NO_ADMISSIBLE
+
+
+def _dimension_up_to_2(g: Digraph, max_k: int) -> int | None:
+    """Order dimension of acyclic g if at most max_k (1 or 2), from the decider.
+
+    The order is total, i.e. of dimension 1, exactly when the realizer's
+    two chains coincide.
+    """
+    verdict = decide_orderable(transitive_reduction(g))
+    if not isinstance(verdict, Orderable):
+        return None
+    if verdict.realizer.first == verdict.realizer.second:
+        return 1
+    return 2 if max_k == 2 else None
 
 
 def _cmd_dim(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     _require_acyclic(g)
-    try:
-        dim = order_dimension(FinitePoset.from_digraph(g), args.max_k)
-    except TooLargeError as err:
-        _fail(str(err), EXIT_BAD_INPUT)
+    if args.max_k < 3:
+        dim = _dimension_up_to_2(g, args.max_k)
+    else:
+        try:
+            dim = order_dimension(FinitePoset.from_digraph(g), args.max_k)
+        except TooLargeError as err:
+            _fail(str(err), EXIT_BAD_INPUT)
     print(f"dimension: {dim}" if dim is not None else f"dimension: >{args.max_k}")
     return EXIT_OK
 
@@ -211,25 +218,20 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=_cmd_gen)
 
     check = sub.add_parser(
-        "check", help="report acyclicity, regularity and chain admissibility"
+        "check",
+        help="report acyclicity, regularity and whether an admissible chain exists",
     )
     _add_input_options(check)
     check.set_defaults(func=_cmd_check)
 
-    realize = sub.add_parser("realize", help="search for a two-chain realizer")
+    realize = sub.add_parser("realize", help="decide orderability, print a realizer")
     _add_input_options(realize)
-    realize.add_argument(
-        "--search-budget",
-        type=int,
-        default=DEFAULT_SEARCH_BUDGET,
-        metavar="N",
-        help="max topological orders examined per phase "
-        f"(default {DEFAULT_SEARCH_BUDGET})",
-    )
     realize.add_argument("--output", default=None, help="output file (default stdout)")
     realize.set_defaults(func=_cmd_realize)
 
-    dim = sub.add_parser("dim", help="brute-force order dimension (small graphs)")
+    dim = sub.add_parser(
+        "dim", help="order dimension (--max-k 3 by brute force, small graphs only)"
+    )
     _add_input_options(dim)
     dim.add_argument("--max-k", type=int, choices=(1, 2, 3), default=3)
     dim.set_defaults(func=_cmd_dim)

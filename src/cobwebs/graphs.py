@@ -1,9 +1,9 @@
 """Finite digraphs and the order-theoretic checks built on them.
 
-Everything downstream (cobweb construction, realizer search, the brute
-force oracle) works over the small vocabulary defined here: vertices
-labelled by position and level, digraphs with deterministic iteration
-order, chains, and reachability relations.  All reachability-style
+Everything downstream (cobweb construction, the orderability decider,
+the brute force oracle) works over the small vocabulary defined here:
+vertices labelled by position and level, digraphs with deterministic
+iteration order, chains, and reachability relations.  All reachability-style
 computations run on vertex indices and integer bitmasks: a Digraph
 keeps its arcs as index pairs and successor lists beside the Vertex
 objects, and reachability is kept as one mask per vertex, either over
@@ -496,20 +496,6 @@ def is_admissible(c: Chain, g: Digraph) -> CheckResult:
     """
     pos_of = _chain_positions(c, g)
     return _admissibility(c.order, _position_reach(g._succ, _acyclic_order(g), pos_of))
-
-
-def _check_first_order(g: Digraph) -> tuple[CheckResult, CheckResult] | None:
-    """Regularity of g and admissibility of its first topological order.
-
-    Both come from one Kahn pass and one reach pass; None when g is
-    cyclic.
-    """
-    order = _kahn_order(len(g), g._succ)
-    if order is None:
-        return None
-    pos_of, reach = _along(g, order)
-    chain = [g.vertices[i] for i in order]
-    return _regularity(g, pos_of, reach), _admissibility(chain, reach)
 
 
 def _iter_index_orders(n: int, succ: list[list[int]]) -> Iterator[tuple[int, ...]]:

@@ -11,12 +11,13 @@ Hard size guards keep the combinatorics from running away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .graphs import Arc, Chain, CheckResult, Digraph, Vertex, reachability
 from .realizers import Realizer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "FinitePoset",
@@ -177,6 +178,8 @@ def _extension_pair_masks(p: FinitePoset) -> tuple[list[tuple[int, ...]], list[i
 
 
 def _split_words(masks: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
+
     lo = np.array([m & _WORD for m in masks], dtype=np.uint64)
     hi = np.array([m >> 64 for m in masks], dtype=np.uint64)
     return lo, hi
@@ -191,6 +194,8 @@ def brute_force_dim_le_2(p: FinitePoset) -> CheckResult:
     elements.  Deterministic: the lexicographically first realizing
     pair wins.
     """
+    import numpy as np
+
     if len(p) > MAX_PAIR_SEARCH_SIZE:
         raise TooLargeError(
             f"{len(p)} elements exceeds the pair-search guard "
@@ -223,6 +228,8 @@ def order_dimension(p: FinitePoset, max_k: int = 3) -> int | None:
     MAX_DIMENSION_SIZE elements; past that the search space is out of
     reach for a literal scan.
     """
+    import numpy as np
+
     if not 1 <= max_k <= 3:
         raise ValueError(f"max_k must be 1, 2 or 3, got {max_k}")
     if len(p) > MAX_DIMENSION_SIZE:

@@ -2,15 +2,20 @@
 
 A DAG is orderable when it is the Hasse diagram of a poset whose order
 dimension is at most 2, i.e. when the reflexive closure of its
-reachability equals the intersection of two total orders.  The
-construction implemented here searches for an admissible linear
-extension; reversing its incomparable pairs yields the second chain
-whenever the resulting tournament is transitive.
+reachability equals the intersection of two total orders.  Such a
+realizer comes from an admissible linear extension: reversing its
+incomparable pairs yields the second chain.
+
+A poset has dimension at most 2 exactly when its incomparability graph
+has a transitive orientation T (Dushnik & Miller 1941), and P ∪ T is
+then an admissible linear extension.  decide_orderable finds T with
+Golumbic's G-decomposition into implication classes (Golumbic 1977;
+*Algorithmic Graph Theory and Perfect Graphs*, ch. 5) in polynomial
+time, so every verdict is conclusive.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,12 +30,12 @@ from .graphs import (
     Vertex,
     VertexSetMismatchError,
     _acyclic_order,
+    _admissibility,
     _admissibility_witness,
     _along,
     _chain_positions,
     _inverse,
     _iter_bits,
-    _iter_index_orders,
     _kahn_order,
     _position_reach,
     _regularity,
@@ -40,7 +45,6 @@ from .graphs import (
 __all__ = [
     "ConjugateCycleError",
     "NoAdmissibleChain",
-    "NonTransitiveConjugate",
     "NotRegular",
     "Orderable",
     "OrderabilityVerdict",
@@ -52,8 +56,6 @@ __all__ = [
     "intersect_chains",
     "verify_realizer",
 ]
-
-DEFAULT_SEARCH_BUDGET = 1_000_000
 
 
 class ConjugateCycleError(ValueError):
@@ -124,29 +126,16 @@ class NotRegular:
 
 @dataclass(frozen=True)
 class NoAdmissibleChain:
-    """No admissible linear extension was found.
+    """The digraph has no admissible linear extension: its order has dimension > 2.
 
-    Conclusive when ``exhaustive`` is True; otherwise the search budget
-    ran out before the space of topological orders was covered.
+    The verdict is always conclusive; ``exhaustive`` is always True and
+    stays only because the verdict JSON prints it.
     """
 
     exhaustive: bool = True
 
 
-@dataclass(frozen=True)
-class NonTransitiveConjugate:
-    """Every admissible chain tried had a cyclic conjugate relation.
-
-    Kept for completeness of the verdict taxonomy; ``cycle`` records one
-    offending cycle.  The same exhaustiveness caveat as for
-    NoAdmissibleChain applies.
-    """
-
-    cycle: tuple[Vertex, ...]
-    exhaustive: bool = True
-
-
-OrderabilityVerdict = Orderable | NotRegular | NoAdmissibleChain | NonTransitiveConjugate
+OrderabilityVerdict = Orderable | NotRegular | NoAdmissibleChain
 
 
 def _mismatch_masks(reach: list[int], second: Sequence[int]) -> list[int]:
@@ -192,6 +181,22 @@ def verify_realizer(r: Realizer) -> CheckResult:
     return CheckResult(True)
 
 
+def _above_masks(
+    succ: list[list[int]], order: Sequence[int], pos_of: Sequence[int]
+) -> list[int]:
+    """Per position p along a linear extension, the positions from which p is reachable.
+
+    ``order`` lists the extension's vertex indices and ``pos_of`` is its
+    inverse; one forward pass over the arcs.
+    """
+    above = [0] * len(order)
+    for p, i in enumerate(order):
+        mask = above[p] | (1 << p)
+        for j in succ[i]:
+            above[pos_of[j]] |= mask
+    return above
+
+
 def _conjugate_positions(
     x: Chain,
     succ: list[list[int]],
@@ -213,11 +218,7 @@ def _conjugate_positions(
     ConjugateCycleError reports.
     """
     n = len(order)
-    above = [0] * n  # positions from which p is reachable
-    for p, i in enumerate(order):
-        mask = above[p] | (1 << p)
-        for j in succ[i]:
-            above[pos_of[j]] |= mask
+    above = _above_masks(succ, order, pos_of)
     score = [reach[p].bit_count() + p - above[p].bit_count() for p in range(n)]
     ranked = sorted(range(n), key=score.__getitem__, reverse=True)
     for k, p in enumerate(ranked):
@@ -281,115 +282,132 @@ def _tournament_cycle(
     raise AssertionError("no cycle found in a sourceless tournament")
 
 
-def _rotated_greedy_order(
-    n: int, succ: list[list[int]], rotation: int
-) -> tuple[int, ...]:
-    """Decode a rotation index into one topological order.
+def _orient_incomparability(
+    succ: list[list[int]], order: list[int], pos_of: list[int], reach: list[int]
+) -> list[int] | None:
+    """Positions along ``order`` in the order of P ∪ T, or None if there is no T.
 
-    At each step the available vertices are sorted and the rotation's
-    next mixed-radix digit picks one of them.  Rotation 0 reproduces the
-    lexicographically first order; increasing rotations visit
-    progressively different corners of the order space.
+    ``order`` is a linear extension of the poset P, ``pos_of`` its
+    inverse and ``reach`` the reach masks in its positions.  T is a
+    transitive orientation of the incomparability graph, built by
+    Golumbic's G-decomposition: orient the smallest remaining pair
+    (p, q), p < q, as p -> q, close its implication class in the
+    remaining graph, and delete it.  Within that graph, a -> b forces
+    a -> c for every neighbour c of a that is not adjacent to b, and
+    c -> b for every neighbour c of b not adjacent to a.  A class that
+    forces some pair both ways proves that no T exists.  Otherwise the
+    classes together are a transitive orientation, and P ∪ T is a linear
+    order that lists the positions by falling count of successors.
     """
-    indeg = [0] * n
-    for heads in succ:
-        for j in heads:
-            indeg[j] += 1
-    avail = sorted(i for i in range(n) if indeg[i] == 0)
-    out: list[int] = []
-    r = rotation
-    while avail:
-        r, d = divmod(r, len(avail))
-        v = avail.pop(d)
-        out.append(v)
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                insort(avail, w)
-    return tuple(out)
+    n = len(order)
+    full = (1 << n) - 1
+    above = _above_masks(succ, order, pos_of)
+    # the incomparability graph still to be oriented, one mask per position
+    adj = [full & ~(reach[p] | above[p] | 1 << p) for p in range(n)]
+    out = [0] * n  # T so far
+    p = 0
+    while True:
+        while p < n and not adj[p]:
+            p += 1
+        if p == n:
+            break
+        q = (adj[p] & -adj[p]).bit_length() - 1
+        heads = {p: 1 << q}  # the class being closed: a -> heads[a]
+        tails = {q: 1 << p}  # and its transpose: tails[b] -> b
+        todo = [(p, q)]
+        while todo:
+            a, b = todo.pop()
+            for c in _iter_bits(adj[a] & ~adj[b] & ~(1 << b) & ~heads.get(a, 0)):
+                if heads.get(c, 0) >> a & 1:
+                    return None
+                heads[a] = heads.get(a, 0) | 1 << c
+                tails[c] = tails.get(c, 0) | 1 << a
+                todo.append((a, c))
+            for c in _iter_bits(adj[b] & ~adj[a] & ~(1 << a) & ~tails.get(b, 0)):
+                if heads.get(b, 0) >> c & 1:
+                    return None
+                heads[c] = heads.get(c, 0) | 1 << b
+                tails[b] = tails.get(b, 0) | 1 << c
+                todo.append((c, b))
+        for a, mask in heads.items():
+            adj[a] &= ~mask
+            out[a] |= mask
+        for b, mask in tails.items():
+            adj[b] &= ~mask
+    score = [(reach[p] | out[p]).bit_count() for p in range(n)]
+    return sorted(range(n), key=score.__getitem__, reverse=True)
 
 
-def decide_orderable(
-    g: Digraph, search_budget: int = DEFAULT_SEARCH_BUDGET
-) -> OrderabilityVerdict:
+def _admissible_order(
+    succ: list[list[int]], first: list[int], pos_of: list[int], reach: list[int]
+) -> list[int] | None:
+    """Vertex indices of an admissible linear extension, or None when none exists.
+
+    ``first`` is Kahn's order, with ``pos_of`` and ``reach`` along it.
+    When ``first`` is admissible it is returned itself: the levels of a
+    cobweb are cliques of the incomparability graph, in which every
+    pair would be an implication class of its own, so this saves the
+    orientation on every cobweb.
+    """
+    if _admissibility_witness(reach) is None:
+        return first
+    ranked = _orient_incomparability(succ, first, pos_of, reach)
+    return None if ranked is None else [first[p] for p in ranked]
+
+
+def _check_graph(g: Digraph) -> tuple[CheckResult, CheckResult] | None:
+    """Regularity of g, and whether it has an admissible linear extension.
+
+    One Kahn pass and one reach pass serve both.  When no admissible
+    extension exists the witness is the first forbidden triple of
+    Kahn's order.  None when g is cyclic.
+    """
+    first = _kahn_order(len(g), g._succ)
+    if first is None:
+        return None
+    pos_of, reach = _along(g, first)
+    if _admissible_order(g._succ, first, pos_of, reach) is not None:
+        admissible = CheckResult(True)
+    else:
+        admissible = _admissibility([g.vertices[i] for i in first], reach)
+    return _regularity(g, pos_of, reach), admissible
+
+
+def decide_orderable(g: Digraph) -> OrderabilityVerdict:
     """Decide whether g is the Hasse diagram of an order of dimension <= 2.
 
-    Regularity is checked first.  Then topological orders are examined
-    lexicographically; the first admissible one yields a verified
-    realizer via its conjugate.  If the whole order space fits within
-    ``search_budget`` the negative verdicts are conclusive
-    (exhaustive=True).  Otherwise a deterministic rotation sweep samples
-    up to ``search_budget`` further orders and a failure to find an
-    admissible chain is reported as inconclusive.
+    Regularity is checked first.  Then an admissible linear extension is
+    sought: Kahn's order (the lexicographically first topological order)
+    if it is admissible, else P ∪ T for a transitive orientation T of
+    the incomparability graph.  Its conjugate completes the realizer,
+    which is verified before it is returned.  When T does not exist the
+    verdict is NoAdmissibleChain; every verdict is conclusive.
 
     One Kahn pass and one reach pass along its order serve acyclicity,
-    regularity and the first order examined; every order examined gets
-    its reach masks from one pass over the arcs, and the admissibility
-    check, the conjugate and the verification all read those masks.
+    regularity, admissibility and the orientation; an extension other
+    than Kahn's gets one more reach pass, which the conjugate and the
+    verification share.
 
     Raises CyclicInputError for cyclic input.
     """
-    if search_budget < 1:
-        raise ValueError(f"search_budget must be positive, got {search_budget}")
     n = len(g)
     first = _kahn_order(n, g._succ)
     if first is None:
         raise CyclicInputError("digraph contains a directed cycle")
-    first_along = _along(g, first)
-    regular = _regularity(g, *first_along)
+    pos_of, reach = _along(g, first)
+    regular = _regularity(g, pos_of, reach)
     if not regular:
         return NotRegular(regular.witness)
-
-    cycle_witness: tuple[Vertex, ...] | None = None
-
-    def attempt(
-        order_idx: tuple[int, ...], pos_of: list[int], reach: list[int]
-    ) -> Orderable | None:
-        nonlocal cycle_witness
-        if _admissibility_witness(reach) is not None:
-            return None
-        chain = Chain(g.vertices[i] for i in order_idx)
-        try:
-            mate = _conjugate_positions(chain, g._succ, order_idx, pos_of, reach)
-        except ConjugateCycleError as err:
-            if cycle_witness is None:
-                cycle_witness = err.cycle
-            return None
-        if any(_mismatch_masks(reach, mate)):
-            raise AssertionError("constructed realizer failed verification")
-        return Orderable(Realizer(chain, Chain(chain.order[p] for p in mate), g))
-
-    produced = 0
-    exhausted = False
-    # The lexicographically first topological order is Kahn's.
-    orders = _iter_index_orders(n, g._succ)
-    while True:
-        order_idx = next(orders, None)
-        if order_idx is None:
-            exhausted = True
-            break
-        if produced == search_budget:
-            break
-        produced += 1
-        along = first_along if produced == 1 else _along(g, order_idx)
-        found = attempt(order_idx, *along)
-        if found is not None:
-            return found
-
-    if exhausted:
-        if cycle_witness is not None:
-            return NonTransitiveConjugate(cycle_witness, exhaustive=True)
-        return NoAdmissibleChain(exhaustive=True)
-
-    seen: set[tuple[int, ...]] = set()
-    for rotation in range(search_budget):
-        order_idx = _rotated_greedy_order(n, g._succ, rotation)
-        if order_idx in seen:
-            continue
-        seen.add(order_idx)
-        found = attempt(order_idx, *_along(g, order_idx))
-        if found is not None:
-            return found
-    if cycle_witness is not None:
-        return NonTransitiveConjugate(cycle_witness, exhaustive=False)
-    return NoAdmissibleChain(exhaustive=False)
+    order = _admissible_order(g._succ, first, pos_of, reach)
+    if order is None:
+        return NoAdmissibleChain()
+    if order is not first:
+        # reach along the new order, taken in Kahn's order so that it is
+        # right even if the orientation were wrong and order no extension
+        pos_of = _inverse(order)
+        reach = _position_reach(g._succ, first, pos_of)
+    chain = Chain(g.vertices[i] for i in order)
+    mate = _conjugate_positions(chain, g._succ, order, pos_of, reach)
+    if any(_mismatch_masks(reach, mate)):
+        raise AssertionError("constructed realizer failed verification")
+    return Orderable(Realizer(chain, Chain(chain.order[p] for p in mate), g))

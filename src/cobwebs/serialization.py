@@ -13,7 +13,6 @@ from typing import Any, Iterator
 from .graphs import Digraph, Vertex, _inverse
 from .realizers import (
     NoAdmissibleChain,
-    NonTransitiveConjugate,
     NotRegular,
     Orderable,
     OrderabilityVerdict,
@@ -294,15 +293,5 @@ def verdict_to_json(verdict: OrderabilityVerdict) -> str:
         flag = json.dumps(verdict.exhaustive)
         return (
             '{\n  "kind": "no_admissible_chain",\n  "exhaustive": ' + flag + "\n}\n"
-        )
-    if isinstance(verdict, NonTransitiveConjugate):
-        cycle = _inline([_vertex_json(v) for v in verdict.cycle])
-        flag = json.dumps(verdict.exhaustive)
-        return (
-            '{\n  "kind": "non_transitive_conjugate",\n  "cycle": '
-            + cycle
-            + ',\n  "exhaustive": '
-            + flag
-            + "\n}\n"
         )
     raise TypeError(f"not a verdict: {verdict!r}")

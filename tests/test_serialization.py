@@ -10,7 +10,6 @@ from cobwebs import (
     ConstantSequence,
     Digraph,
     NoAdmissibleChain,
-    NonTransitiveConjugate,
     NotRegular,
     Realizer,
     ascending_chain,
@@ -199,13 +198,6 @@ class TestRealizerAndVerdictJson:
     def test_no_admissible_chain_verdict(self):
         payload = json.loads(verdict_to_json(NoAdmissibleChain(exhaustive=False)))
         assert payload == {"kind": "no_admissible_chain", "exhaustive": False}
-
-    def test_non_transitive_conjugate_verdict(self):
-        verdict = NonTransitiveConjugate((v(1), v(2), v(3)), exhaustive=True)
-        payload = json.loads(verdict_to_json(verdict))
-        assert payload["kind"] == "non_transitive_conjugate"
-        assert payload["cycle"] == [[1, 0], [2, 0], [3, 0]]
-        assert payload["exhaustive"] is True
 
     def test_rejects_non_verdicts(self):
         with pytest.raises(TypeError):
