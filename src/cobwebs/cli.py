@@ -19,9 +19,15 @@ from pathlib import Path
 from typing import NoReturn
 
 from .cobweb import SequenceError, SequenceSpecError, build_cobweb, parse_sequence_spec
-from .graphs import CyclicInputError, Digraph, is_acyclic, transitive_reduction
-from .oracle import FinitePoset, TooLargeError, order_dimension
-from .realizers import NotRegular, Orderable, _check_graph, decide_orderable
+from .graphs import CyclicInputError, Digraph, topological_order
+from .oracle import FinitePoset, TooLargeError, _check_dimension_size, order_dimension
+from .realizers import (
+    NotRegular,
+    Orderable,
+    _check_graph,
+    _dimension_up_to_2,
+    decide_orderable,
+)
 from .serialization import (
     GRAPH_FORMATS,
     FormatError,
@@ -71,30 +77,19 @@ def _write_text(text: str, path: str | None) -> None:
 def _build_from_seq(spec: str, max_level: int | None) -> Digraph:
     if max_level is None:
         _fail("--max-level is required with --seq", EXIT_BAD_INPUT)
-    try:
-        sequence = parse_sequence_spec(spec)
-    except SequenceSpecError as err:
-        _fail(str(err), EXIT_BAD_INPUT)
+    sequence = parse_sequence_spec(spec)
     try:
         return build_cobweb(sequence, max_level).hasse
-    except SequenceError as err:
-        _fail(str(err), EXIT_BAD_SEQUENCE)
-    except ValueError as err:
+    except SequenceError:
+        raise
+    except ValueError as err:  # a negative max level
         _fail(str(err), EXIT_BAD_INPUT)
 
 
 def _load_graph(args: argparse.Namespace) -> Digraph:
     if args.seq is not None:
         return _build_from_seq(args.seq, args.max_level)
-    try:
-        return graph_from_text(_read_text(args.input))
-    except FormatError as err:
-        _fail(str(err), EXIT_BAD_INPUT)
-
-
-def _require_acyclic(g: Digraph) -> None:
-    if not is_acyclic(g):
-        _fail("input digraph contains a directed cycle", EXIT_BAD_INPUT)
+    return graph_from_text(_read_text(args.input))
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
@@ -108,7 +103,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     checks = _check_graph(g)
     if checks is None:
         print("acyclic: FAIL")
-        _fail("input digraph contains a directed cycle", EXIT_BAD_INPUT)
+        raise CyclicInputError("digraph contains a directed cycle")
     print("acyclic: PASS")
     regular, admissible = checks
     if regular:
@@ -125,11 +120,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_realize(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    try:
-        verdict = decide_orderable(g)
-    except CyclicInputError:
-        _fail("input digraph contains a directed cycle", EXIT_BAD_INPUT)
+    verdict = decide_orderable(_load_graph(args))
     if isinstance(verdict, Orderable):
         _write_text(realizer_to_json(verdict.realizer), args.output)
         # decide_orderable verifies every realizer it returns and raises
@@ -148,30 +139,15 @@ def _cmd_realize(args: argparse.Namespace) -> int:
     return EXIT_NO_ADMISSIBLE
 
 
-def _dimension_up_to_2(g: Digraph, max_k: int) -> int | None:
-    """Order dimension of acyclic g if at most max_k (1 or 2), from the decider.
-
-    The order is total, i.e. of dimension 1, exactly when the realizer's
-    two chains coincide.
-    """
-    verdict = decide_orderable(transitive_reduction(g))
-    if not isinstance(verdict, Orderable):
-        return None
-    if verdict.realizer.first == verdict.realizer.second:
-        return 1
-    return 2 if max_k == 2 else None
-
-
 def _cmd_dim(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    _require_acyclic(g)
     if args.max_k < 3:
         dim = _dimension_up_to_2(g, args.max_k)
     else:
-        try:
-            dim = order_dimension(FinitePoset.from_digraph(g), args.max_k)
-        except TooLargeError as err:
-            _fail(str(err), EXIT_BAD_INPUT)
+        # a cycle, then the size guard, before the pair set is built
+        topological_order(g)
+        _check_dimension_size(len(g))
+        dim = order_dimension(FinitePoset.from_digraph(g), args.max_k)
     print(f"dimension: {dim}" if dim is not None else f"dimension: >{args.max_k}")
     return EXIT_OK
 
@@ -250,14 +226,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except _CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.code
+        message, code = str(err), err.code
+    except CyclicInputError:
+        message, code = "input digraph contains a directed cycle", EXIT_BAD_INPUT
     except SequenceError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BAD_SEQUENCE
-    except (FormatError, CyclicInputError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        message, code = str(err), EXIT_BAD_SEQUENCE
+    except (FormatError, SequenceSpecError, TooLargeError) as err:
+        message, code = str(err), EXIT_BAD_INPUT
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

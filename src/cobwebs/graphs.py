@@ -14,7 +14,6 @@ only where a result is handed back to the caller.
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -501,52 +500,44 @@ def is_admissible(c: Chain, g: Digraph) -> CheckResult:
 def _iter_index_orders(n: int, succ: list[list[int]]) -> Iterator[tuple[int, ...]]:
     """All topological orders of 0..n-1, lexicographically smallest first.
 
-    Depth-first backtracking over an explicit stack, with an
-    incrementally maintained sorted list of available (in-degree zero)
-    vertices, so the depth is not bounded by the interpreter's
-    recursion limit.  Yields nothing if the graph is cyclic.
+    Depth-first backtracking over an explicit stack, so the depth is not
+    bounded by the interpreter's recursion limit.  Vertex sets are
+    bitmasks: a vertex becomes available once its predecessors are all
+    placed.  Yields nothing if the graph is cyclic.
     """
     if n == 0:
         yield ()
         return
-    indeg = [0] * n
-    for heads in succ:
+    pred = [0] * n
+    for i, heads in enumerate(succ):
         for j in heads:
-            indeg[j] += 1
-    avail = sorted(i for i in range(n) if indeg[i] == 0)
+            pred[j] |= 1 << i
     order: list[int] = []
-    # One frame per chosen prefix: the vertices available after it, and
-    # how many of them have been tried.  Trying the next one first takes
-    # back the previous choice, which is the last vertex of ``order``.
-    choices = [tuple(avail)]
-    tried = [0]
-    while choices:
-        k = tried[-1]
-        if k:
-            v = order.pop()
-            for w in succ[v]:
-                if indeg[w] == 0:
-                    avail.remove(w)
-                indeg[w] += 1
-            insort(avail, v)
-        cands = choices[-1]
-        if k == len(cands):
-            choices.pop()
-            tried.pop()
+    placed = 0
+    # One frame per depth: the vertices available there, and the
+    # smallest index not yet tried.  While a frame's last choice is
+    # still placed, ``order`` is as long as the stack.
+    stack = [(sum(1 << i for i in range(n) if not pred[i]), 0)]
+    while stack:
+        avail, low = stack[-1]
+        if len(order) == len(stack):
+            placed ^= 1 << order.pop()
+        untried = avail >> low << low
+        if not untried:
+            stack.pop()
             continue
-        tried[-1] = k + 1
-        v = cands[k]
-        avail.remove(v)
+        v = (untried & -untried).bit_length() - 1
+        stack[-1] = (avail, v + 1)
         order.append(v)
-        for w in succ[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                insort(avail, w)
+        placed |= 1 << v
         if len(order) == n:
             yield tuple(order)
-        else:
-            choices.append(tuple(avail))
-            tried.append(0)
+            continue
+        avail ^= 1 << v
+        for w in succ[v]:
+            if not pred[w] & ~placed:
+                avail |= 1 << w
+        stack.append((avail, 0))
 
 
 def iter_topological_orders(g: Digraph, limit: int | None = None) -> Iterator[Chain]:

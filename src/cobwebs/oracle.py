@@ -220,6 +220,14 @@ def brute_force_dim_le_2(p: FinitePoset) -> CheckResult:
     return CheckResult(False)
 
 
+def _check_dimension_size(n: int) -> None:
+    """Refuse n elements beyond MAX_DIMENSION_SIZE with TooLargeError."""
+    if n > MAX_DIMENSION_SIZE:
+        raise TooLargeError(
+            f"{n} elements exceeds the dimension guard of {MAX_DIMENSION_SIZE}"
+        )
+
+
 def order_dimension(p: FinitePoset, max_k: int = 3) -> int | None:
     """Smallest number of linear extensions intersecting in p, up to max_k.
 
@@ -232,11 +240,7 @@ def order_dimension(p: FinitePoset, max_k: int = 3) -> int | None:
 
     if not 1 <= max_k <= 3:
         raise ValueError(f"max_k must be 1, 2 or 3, got {max_k}")
-    if len(p) > MAX_DIMENSION_SIZE:
-        raise TooLargeError(
-            f"{len(p)} elements exceeds the dimension guard "
-            f"of {MAX_DIMENSION_SIZE}"
-        )
+    _check_dimension_size(len(p))
     n = len(p)
     if len(p.strict) == n * (n - 1) // 2:
         return 1

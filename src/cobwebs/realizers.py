@@ -7,8 +7,9 @@ realizer comes from an admissible linear extension: reversing its
 incomparable pairs yields the second chain.
 
 A poset has dimension at most 2 exactly when its incomparability graph
-has a transitive orientation T (Dushnik & Miller 1941), and P ∪ T is
-then an admissible linear extension.  decide_orderable finds T with
+has a transitive orientation T (Dushnik & Miller 1941).  P ∪ T is then
+an admissible linear extension and P ∪ T⁻¹ its conjugate, so the two
+chains form a realizer.  decide_orderable finds T with
 Golumbic's G-decomposition into implication classes (Golumbic 1977;
 *Algorithmic Graph Theory and Perfect Graphs*, ch. 5) in polynomial
 time, so every verdict is conclusive.
@@ -24,20 +25,19 @@ from .graphs import (
     Arc,
     Chain,
     CheckResult,
-    CyclicInputError,
     Digraph,
     NotLinearExtensionError,
     Vertex,
     VertexSetMismatchError,
     _acyclic_order,
     _admissibility,
-    _admissibility_witness,
     _along,
     _chain_positions,
     _inverse,
     _iter_bits,
     _kahn_order,
     _position_reach,
+    _reach_bits,
     _regularity,
     is_linear_extension,
 )
@@ -138,19 +138,25 @@ class NoAdmissibleChain:
 OrderabilityVerdict = Orderable | NotRegular | NoAdmissibleChain
 
 
-def _mismatch_masks(reach: list[int], second: Sequence[int]) -> list[int]:
-    """Per position p along the first chain, the pairs (p, q) that break a realizer.
+def _mismatch_masks(
+    reach: list[int], first: Sequence[int], second: Sequence[int]
+) -> list[int]:
+    """Per element p, the elements q for which the pair (p, q) breaks a realizer.
 
-    ``reach`` holds reach masks in positions along the first chain, and
-    ``second`` lists those positions in the order of the second chain.
-    Both chains put p before q exactly when q is reachable from p; bit q
-    of entry p is set where that fails.  One walk back along the second
-    chain collects, for each p, the positions after p in both chains.
+    ``reach`` holds reach masks over some numbering of the elements, and
+    ``first`` and ``second`` list the same numbers in the order of the
+    two chains.  Both chains put p before q exactly when q is reachable
+    from p; bit q of entry p is set where that fails.  One walk back
+    along each chain collects, for each p, the elements after p in it.
     """
     diff = [0] * len(reach)
-    after = 0  # positions met so far, i.e. later along the second chain
+    after = 0
+    for p in reversed(first):
+        diff[p] = after  # for now, the elements after p in the first chain
+        after |= 1 << p
+    after = 0
     for p in reversed(second):
-        diff[p] = (after >> (p + 1) << (p + 1)) ^ reach[p]
+        diff[p] = (after & diff[p]) ^ reach[p]
         after |= 1 << p
     return diff
 
@@ -164,19 +170,21 @@ def verify_realizer(r: Realizer) -> CheckResult:
     cover the target's vertex set raise VertexSetMismatchError.
     """
     g = r.target
-    rank = r.first._rank
-    if rank.keys() != g._index.keys():
+    index = g._index
+    if r.first._rank.keys() != index.keys():
         raise VertexSetMismatchError(
             "realizer chains do not cover the target's vertex set"
         )
-    if r.second._rank.keys() != rank.keys():
+    if r.second._rank.keys() != index.keys():
         raise VertexSetMismatchError("chains cover different vertex sets")
-    pos_of = [rank[v] for v in g.vertices]
-    reach = _position_reach(g._succ, _acyclic_order(g), pos_of)
-    diff = _mismatch_masks(reach, [rank[v] for v in r.second.order])
-    for i, p in enumerate(pos_of):
-        if diff[p]:
-            j = min(g._index[r.first.order[q]] for q in _iter_bits(diff[p]))
+    diff = _mismatch_masks(
+        _reach_bits(g),
+        [index[v] for v in r.first.order],
+        [index[v] for v in r.second.order],
+    )
+    for i, mask in enumerate(diff):
+        if mask:
+            j = (mask & -mask).bit_length() - 1
             return CheckResult(False, (g.vertices[i], g.vertices[j]))
     return CheckResult(True)
 
@@ -197,38 +205,24 @@ def _above_masks(
     return above
 
 
-def _conjugate_positions(
-    x: Chain,
-    succ: list[list[int]],
-    order: list[int],
-    pos_of: list[int],
-    reach: list[int],
-) -> list[int]:
-    """Positions along x in the order of its conjugate chain.
+def _conjugate_scores(reach: list[int], above: list[int]) -> list[int]:
+    """Per position p along a linear extension, how many positions p beats in its conjugate.
 
-    x must be a linear extension whose vertex indices are ``order``,
-    ``pos_of`` the inverse of ``order``, and ``reach`` the reach masks
-    in positions along x.  Position p beats q when q is reachable from
-    p, or q precedes p with no path between them.  The conjugate is a
-    chain exactly when this tournament is transitive, i.e. when the
-    scores (how many positions each one beats) are n-1, ..., 0; it then
-    lists the positions by falling score.  Otherwise the positions whose
-    scores do read n-1, n-2, ... are the ones a greedy peel of unbeaten
-    positions takes, and the rest hold the cycle that
-    ConjugateCycleError reports.
+    ``reach`` and ``above`` are the extension's masks in its positions.
+    Position p beats q when q is reachable from p, or q precedes p with
+    no path between them.  The scores lie in 0..n-1, so the tournament
+    is transitive, and the conjugate a chain, exactly when they are all
+    different (Landau 1953).  The chain then lists the positions by
+    falling score.
     """
-    n = len(order)
-    above = _above_masks(succ, order, pos_of)
-    score = [reach[p].bit_count() + p - above[p].bit_count() for p in range(n)]
-    ranked = sorted(range(n), key=score.__getitem__, reverse=True)
-    for k, p in enumerate(ranked):
-        if score[p] != n - 1 - k:
-            beats = [reach[q] | (((1 << q) - 1) & ~above[q]) for q in range(n)]
-            remaining = (1 << n) - 1
-            for q in ranked[:k]:
-                remaining &= ~(1 << q)
-            raise ConjugateCycleError(_tournament_cycle(beats, remaining, x))
-    return ranked
+    return [
+        r.bit_count() + p - a.bit_count() for p, (r, a) in enumerate(zip(reach, above))
+    ]
+
+
+def _ranked(score: list[int]) -> list[int]:
+    """Positions by falling score."""
+    return sorted(range(len(score)), key=score.__getitem__, reverse=True)
 
 
 def conjugate_chain(x: Chain, g: Digraph) -> Chain:
@@ -246,8 +240,20 @@ def conjugate_chain(x: Chain, g: Digraph) -> Chain:
     pos_of = _chain_positions(x, g)
     order = _inverse(pos_of)
     reach = _position_reach(g._succ, order, pos_of)
-    mate = _conjugate_positions(x, g._succ, order, pos_of, reach)
-    return Chain(x.order[p] for p in mate)
+    above = _above_masks(g._succ, order, pos_of)
+    score = _conjugate_scores(reach, above)
+    ranked = _ranked(score)
+    n = len(ranked)
+    for k, p in enumerate(ranked):
+        if score[p] != n - 1 - k:
+            # the positions ranked before k are the ones a greedy peel of
+            # unbeaten positions takes; the rest hold the cycle
+            beats = [reach[q] | (((1 << q) - 1) & ~above[q]) for q in range(n)]
+            remaining = (1 << n) - 1
+            for q in ranked[:k]:
+                remaining &= ~(1 << q)
+            raise ConjugateCycleError(_tournament_cycle(beats, remaining, x))
+    return Chain(x.order[p] for p in ranked)
 
 
 def _tournament_cycle(
@@ -282,35 +288,30 @@ def _tournament_cycle(
     raise AssertionError("no cycle found in a sourceless tournament")
 
 
-def _orient_incomparability(
-    succ: list[list[int]], order: list[int], pos_of: list[int], reach: list[int]
-) -> list[int] | None:
-    """Positions along ``order`` in the order of P ∪ T, or None if there is no T.
+def _orient_incomparability(reach: list[int], above: list[int]) -> list[int] | None:
+    """Out-degrees of a transitive orientation T of the incomparability graph, or None.
 
-    ``order`` is a linear extension of the poset P, ``pos_of`` its
-    inverse and ``reach`` the reach masks in its positions.  T is a
-    transitive orientation of the incomparability graph, built by
-    Golumbic's G-decomposition: orient the smallest remaining pair
-    (p, q), p < q, as p -> q, close its implication class in the
-    remaining graph, and delete it.  Within that graph, a -> b forces
-    a -> c for every neighbour c of a that is not adjacent to b, and
-    c -> b for every neighbour c of b not adjacent to a.  A class that
-    forces some pair both ways proves that no T exists.  Otherwise the
-    classes together are a transitive orientation, and P ∪ T is a linear
-    order that lists the positions by falling count of successors.
+    ``reach`` and ``above`` are the masks of a linear extension of the
+    poset P, in its positions.  T is built by Golumbic's
+    G-decomposition: orient the smallest remaining pair (p, q), p < q,
+    as p -> q, close its implication class in the remaining graph, and
+    delete it.  Within that graph, a -> b forces a -> c for every
+    neighbour c of a that is not adjacent to b, and c -> b for every
+    neighbour c of b not adjacent to a.  A class that forces some pair
+    both ways proves that no T exists, and the result is None.
+    Otherwise the classes together are a transitive orientation.
     """
-    n = len(order)
+    n = len(reach)
     full = (1 << n) - 1
-    above = _above_masks(succ, order, pos_of)
     # the incomparability graph still to be oriented, one mask per position
     adj = [full & ~(reach[p] | above[p] | 1 << p) for p in range(n)]
-    out = [0] * n  # T so far
+    out = [0] * n  # out-degrees in T so far
     p = 0
     while True:
         while p < n and not adj[p]:
             p += 1
         if p == n:
-            break
+            return out
         q = (adj[p] & -adj[p]).bit_length() - 1
         heads = {p: 1 << q}  # the class being closed: a -> heads[a]
         tails = {q: 1 << p}  # and its transpose: tails[b] -> b
@@ -331,28 +332,45 @@ def _orient_incomparability(
                 todo.append((c, b))
         for a, mask in heads.items():
             adj[a] &= ~mask
-            out[a] |= mask
+            out[a] += mask.bit_count()
         for b, mask in tails.items():
             adj[b] &= ~mask
-    score = [(reach[p] | out[p]).bit_count() for p in range(n)]
-    return sorted(range(n), key=score.__getitem__, reverse=True)
 
 
-def _admissible_order(
+def _realizer_positions(
     succ: list[list[int]], first: list[int], pos_of: list[int], reach: list[int]
-) -> list[int] | None:
-    """Vertex indices of an admissible linear extension, or None when none exists.
+) -> tuple[list[int], list[int]] | None:
+    """Both chains of a realizer as positions along Kahn's order, or None if none exists.
 
-    ``first`` is Kahn's order, with ``pos_of`` and ``reach`` along it.
-    When ``first`` is admissible it is returned itself: the levels of a
-    cobweb are cliques of the incomparability graph, in which every
-    pair would be an implication class of its own, so this saves the
-    orientation on every cobweb.
+    ``first`` is Kahn's order, ``pos_of`` its inverse and ``reach`` the
+    reach masks in its positions.  The chains are P ∪ T and P ∪ T⁻¹ for
+    a transitive orientation T of the incomparability graph.  Kahn's
+    order is such a P ∪ T exactly when its conjugate's scores are all
+    different.  Every cobweb takes that exit, which saves the
+    orientation: the levels of a cobweb are cliques of the
+    incomparability graph, in which every pair would be an implication
+    class of its own.  Otherwise _orient_incomparability gives T's
+    out-degrees, and each chain lists the positions by falling count of
+    later ones: |reach| + out in P ∪ T, n - 1 - |above| - out in
+    P ∪ T⁻¹.  The pair is verified against ``reach``, which does not
+    depend on T, and AssertionError is raised if it fails.
     """
-    if _admissibility_witness(reach) is None:
-        return first
-    ranked = _orient_incomparability(succ, first, pos_of, reach)
-    return None if ranked is None else [first[p] for p in ranked]
+    n = len(first)
+    above = _above_masks(succ, first, pos_of)
+    score = _conjugate_scores(reach, above)
+    if len(set(score)) == n:
+        chains = list(range(n)), _ranked(score)
+    else:
+        out = _orient_incomparability(reach, above)
+        if out is None:
+            return None
+        chains = (
+            _ranked([reach[p].bit_count() + out[p] for p in range(n)]),
+            _ranked([n - 1 - above[p].bit_count() - out[p] for p in range(n)]),
+        )
+    if any(_mismatch_masks(reach, *chains)):
+        raise AssertionError("constructed realizer failed verification")
+    return chains
 
 
 def _check_graph(g: Digraph) -> tuple[CheckResult, CheckResult] | None:
@@ -366,48 +384,51 @@ def _check_graph(g: Digraph) -> tuple[CheckResult, CheckResult] | None:
     if first is None:
         return None
     pos_of, reach = _along(g, first)
-    if _admissible_order(g._succ, first, pos_of, reach) is not None:
+    if _realizer_positions(g._succ, first, pos_of, reach) is not None:
         admissible = CheckResult(True)
     else:
         admissible = _admissibility([g.vertices[i] for i in first], reach)
     return _regularity(g, pos_of, reach), admissible
 
 
+def _dimension_up_to_2(g: Digraph, max_k: int) -> int | None:
+    """Order dimension of g's reachability if at most max_k (1 or 2), else None.
+
+    The order is total, i.e. of dimension 1, exactly when the realizer's
+    two chains coincide.  g need not be regular; raises
+    CyclicInputError for cyclic g.
+    """
+    first = _acyclic_order(g)
+    chains = _realizer_positions(g._succ, first, *_along(g, first))
+    if chains is None:
+        return None
+    if chains[0] == chains[1]:
+        return 1
+    return 2 if max_k == 2 else None
+
+
 def decide_orderable(g: Digraph) -> OrderabilityVerdict:
     """Decide whether g is the Hasse diagram of an order of dimension <= 2.
 
-    Regularity is checked first.  Then an admissible linear extension is
-    sought: Kahn's order (the lexicographically first topological order)
-    if it is admissible, else P ∪ T for a transitive orientation T of
-    the incomparability graph.  Its conjugate completes the realizer,
-    which is verified before it is returned.  When T does not exist the
-    verdict is NoAdmissibleChain; every verdict is conclusive.
+    Regularity is checked first.  Then the realizer is sought: Kahn's
+    order (the lexicographically first topological order) and its
+    conjugate if that order is admissible, else P ∪ T and P ∪ T⁻¹ for a
+    transitive orientation T of the incomparability graph.  The
+    realizer is verified before it is returned.  When T does not exist
+    the verdict is NoAdmissibleChain; every verdict is conclusive.
 
     One Kahn pass and one reach pass along its order serve acyclicity,
-    regularity, admissibility and the orientation; an extension other
-    than Kahn's gets one more reach pass, which the conjugate and the
-    verification share.
+    regularity, both chains and the verification.
 
     Raises CyclicInputError for cyclic input.
     """
-    n = len(g)
-    first = _kahn_order(n, g._succ)
-    if first is None:
-        raise CyclicInputError("digraph contains a directed cycle")
+    first = _acyclic_order(g)
     pos_of, reach = _along(g, first)
     regular = _regularity(g, pos_of, reach)
     if not regular:
         return NotRegular(regular.witness)
-    order = _admissible_order(g._succ, first, pos_of, reach)
-    if order is None:
+    chains = _realizer_positions(g._succ, first, pos_of, reach)
+    if chains is None:
         return NoAdmissibleChain()
-    if order is not first:
-        # reach along the new order, taken in Kahn's order so that it is
-        # right even if the orientation were wrong and order no extension
-        pos_of = _inverse(order)
-        reach = _position_reach(g._succ, first, pos_of)
-    chain = Chain(g.vertices[i] for i in order)
-    mate = _conjugate_positions(chain, g._succ, order, pos_of, reach)
-    if any(_mismatch_masks(reach, mate)):
-        raise AssertionError("constructed realizer failed verification")
-    return Orderable(Realizer(chain, Chain(chain.order[p] for p in mate), g))
+    x, y = (Chain(g.vertices[first[p]] for p in chain) for chain in chains)
+    return Orderable(Realizer(x, y, g))

@@ -278,13 +278,7 @@ def realizer_to_json(r: Realizer) -> str:
 
 def verdict_to_json(verdict: OrderabilityVerdict) -> str:
     if isinstance(verdict, Orderable):
-        realizer = (
-            "{\n    "
-            + _chain_line("chain_x", verdict.realizer.first)
-            + ",\n    "
-            + _chain_line("chain_y", verdict.realizer.second)
-            + "\n  }"
-        )
+        realizer = realizer_to_json(verdict.realizer)[:-1].replace("\n", "\n  ")
         return '{\n  "kind": "orderable",\n  "realizer": ' + realizer + "\n}\n"
     if isinstance(verdict, NotRegular):
         witness = _inline([_vertex_json(v) for v in verdict.witness])

@@ -240,6 +240,26 @@ class TestDim:
         assert code == EXIT_BAD_INPUT
         assert "guard" in err
 
+    def test_guard_refuses_before_the_pair_set_is_built(self, capsys, monkeypatch):
+        def no_pair_set(g):
+            raise AssertionError("pair set built for a graph the guard refuses")
+
+        monkeypatch.setattr(cli.FinitePoset, "from_digraph", no_pair_set)
+        code, _, err = run(["dim", "--seq", "fib", "--max-level", "14"], capsys=capsys)
+        assert code == EXIT_BAD_INPUT
+        assert err == "error: 987 elements exceeds the dimension guard of 7\n"
+
+    @pytest.mark.parametrize("max_k", ["1", "2", "3"])
+    def test_cyclic_input_exits_2(self, max_k, capsys, monkeypatch):
+        # the nine-vertex cycle is past the size guard: the cycle is named first
+        for n in (2, 9):
+            text = "".join(f"{i},0 -> {i % n + 1},0\n" for i in range(1, n + 1))
+            argv = ["dim", "--max-k", max_k]
+            code, out, err = run(argv, stdin=text, capsys=capsys, monkeypatch=monkeypatch)
+            assert code == EXIT_BAD_INPUT
+            assert out == ""
+            assert err == "error: input digraph contains a directed cycle\n"
+
 
 class TestExport:
     def test_edgelist_to_dot(self, capsys, monkeypatch):

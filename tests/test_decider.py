@@ -13,6 +13,7 @@ import random
 import sys
 from time import perf_counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -33,6 +34,7 @@ from cobwebs import (
     transitive_reduction,
     verify_realizer,
 )
+from cobwebs import realizers
 from cobwebs.cli import main
 from cobwebs.realizers import _check_graph
 from cobwebs.serialization import (
@@ -213,6 +215,41 @@ class TestRealizer:
     def test_cobweb_realizer_is_kahn_order(self):
         for level in range(8):
             assert self.assert_kahn_realizer_when_admissible(fib_cobweb(level).hasse)
+
+    def test_second_chain_is_the_conjugate_when_kahn_order_is_inadmissible(self):
+        # random 2-dimensional orders, listed in shuffled order so that
+        # Kahn's order is mostly inadmissible and the orientation runs
+        rng = random.Random(SEED)
+        inadmissible = 0
+        for _ in range(150):
+            n = rng.choice((6, 9, 14, 25))
+            a, b = rng.sample(range(n), n), rng.sample(range(n), n)
+            vs = row(n)
+            below = [
+                (vs[u], vs[v])
+                for u in range(n)
+                for v in range(n)
+                if a[u] < a[v] and b[u] < b[v]
+            ]
+            g = transitive_reduction(Digraph(rng.sample(vs, n), below))
+            if is_admissible(Chain(topological_order(g)), g):
+                continue
+            inadmissible += 1
+            verdict = decide_orderable(g)
+            assert isinstance(verdict, Orderable)
+            first, second = verdict.realizer.first, verdict.realizer.second
+            assert second == conjugate_chain(first, g)
+        assert inadmissible > 100
+
+    def test_a_wrong_orientation_fails_verification(self, monkeypatch):
+        # Kahn's order 1, 2, 3 is inadmissible here, so the orientation runs;
+        # with every out-degree 0 both chains come out as 1, 2, 3
+        monkeypatch.setattr(
+            realizers, "_orient_incomparability", lambda reach, above: [0] * 3
+        )
+        vs = row(3)
+        with pytest.raises(AssertionError, match="failed verification"):
+            decide_orderable(Digraph(vs, [(vs[0], vs[2])]))
 
 
 class TestCheckAdmissibleLine:

@@ -11,6 +11,7 @@ from cobwebs import (
     Digraph,
     NoAdmissibleChain,
     NotRegular,
+    Orderable,
     Realizer,
     ascending_chain,
     build_cobweb,
@@ -182,6 +183,19 @@ class TestRealizerAndVerdictJson:
             "{\n"
             '  "chain_x": [[1, 0], [1, 1], [1, 2], [1, 3], [2, 3]],\n'
             '  "chain_y": [[1, 0], [1, 1], [1, 2], [2, 3], [1, 3]]\n'
+            "}\n"
+        )
+
+    def test_orderable_verdict_golden(self):
+        p = fib_cobweb(3)
+        r = Realizer(ascending_chain(p), descending_chain(p), p.hasse)
+        assert verdict_to_json(Orderable(r)) == (
+            "{\n"
+            '  "kind": "orderable",\n'
+            '  "realizer": {\n'
+            '    "chain_x": [[1, 0], [1, 1], [1, 2], [1, 3], [2, 3]],\n'
+            '    "chain_y": [[1, 0], [1, 1], [1, 2], [2, 3], [1, 3]]\n'
+            "  }\n"
             "}\n"
         )
 
