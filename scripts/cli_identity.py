@@ -6,7 +6,7 @@ Writes seeded input files to a temporary directory, runs a fixed list of
 PYTHONPATH, and reports every command line whose exit code, stdout or
 stderr differ.  Exit status 0 means no difference.
 
-    python3 scripts/cli_identity.py OLD_TREE NEW_TREE [--seed 11] [--jobs 2]
+    python3 scripts/cli_identity.py OLD_TREE NEW_TREE
 
 The command lines cover gen, check, realize, dim --max-k 1|2|3 and
 export on --seq inputs; on shuffled JSON and edge-list files of cobwebs,
@@ -27,12 +27,12 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 Vertex = tuple[int, int]  # (position, level)
 Graph = tuple[list[Vertex], list[tuple[Vertex, Vertex]]]
 
+SEED = 11
 SEQ_INPUTS = [
     *(("fib", level) for level in range(10)),
     ("fib", 12),
@@ -195,8 +195,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path, help="source tree with src/cobwebs")
     parser.add_argument("new", type=Path, help="source tree with src/cobwebs")
-    parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--jobs", type=int, default=2, help="command lines run at once")
     args = parser.parse_args()
     for tree in (args.old, args.new):
         if not (tree / "src" / "cobwebs").is_dir():
@@ -204,16 +202,13 @@ def main() -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        lines = command_lines(write_inputs(random.Random(args.seed), root))
-
-        def compare(argv: list[str]) -> tuple[list[str], int, list[str]]:
+        parts = ["exit code", "stdout", "stderr"]
+        results = []
+        for argv in command_lines(write_inputs(random.Random(SEED), root)):
             old = run(args.old.resolve(), argv, root)
             new = run(args.new.resolve(), argv, root)
-            parts = ["exit code", "stdout", "stderr"]
-            return argv, old[0], [p for p, a, b in zip(parts, old, new) if a != b]
-
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
-            results = list(pool.map(compare, lines))
+            differ = [p for p, a, b in zip(parts, old, new) if a != b]
+            results.append((argv, old[0], differ))
 
     codes: Counter[int] = Counter()
     differences = 0

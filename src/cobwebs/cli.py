@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .cobweb import SequenceError, SequenceSpecError, build_cobweb, parse_sequence_spec
-from .graphs import CyclicInputError, Digraph, topological_order
+from .graphs import CyclicInputError, Digraph, is_acyclic
 from .oracle import FinitePoset, TooLargeError, _check_dimension_size, order_dimension
 from .realizers import (
     NotRegular,
@@ -103,7 +103,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     checks = _check_graph(g)
     if checks is None:
         print("acyclic: FAIL")
-        raise CyclicInputError("digraph contains a directed cycle")
+        raise CyclicInputError
     print("acyclic: PASS")
     regular, admissible = checks
     if regular:
@@ -144,8 +144,8 @@ def _cmd_dim(args: argparse.Namespace) -> int:
     if args.max_k < 3:
         dim = _dimension_up_to_2(g, args.max_k)
     else:
-        # a cycle, then the size guard, before the pair set is built
-        topological_order(g)
+        if not is_acyclic(g):
+            raise CyclicInputError
         _check_dimension_size(len(g))
         dim = order_dimension(FinitePoset.from_digraph(g), args.max_k)
     print(f"dimension: {dim}" if dim is not None else f"dimension: >{args.max_k}")
