@@ -2,8 +2,10 @@
 """Random sweep comparing the orderability decider against the brute-force oracle.
 
 Samples regular DAGs (random upper-triangular graphs reduced to their
-covers), runs both deciders on each, and reports any disagreement.
-Exit status 0 means full agreement.
+covers), runs both deciders on each, and reports any disagreement.  The
+oracle's own realizer must verify, and on graphs with at most 7
+vertices order_dimension must agree as well.  Exit status 0 means full
+agreement.
 
     python3 scripts/oracle_agreement.py --count 500 --sizes 6,7 --seed 7
 """
@@ -21,9 +23,11 @@ from cobwebs import (
     Vertex,
     brute_force_dim_le_2,
     decide_orderable,
+    order_dimension,
     transitive_reduction,
     verify_realizer,
 )
+from cobwebs.oracle import MAX_DIMENSION_SIZE
 
 
 def random_regular_dag(rng: random.Random, n: int, prob: float) -> Digraph:
@@ -59,7 +63,16 @@ def main() -> int:
     for k in range(args.count):
         g = random_regular_dag(rng, rng.choice(sizes), rng.choice(probs))
         verdict = decide_orderable(g)
-        truth = brute_force_dim_le_2(FinitePoset.from_digraph(g))
+        poset = FinitePoset.from_digraph(g)
+        truth = brute_force_dim_le_2(poset)
+        if truth and not verify_realizer(truth.witness):
+            disagreements += 1
+            print(f"[{k}] oracle realizer fails to verify: {g.arcs}")
+        if len(g) <= MAX_DIMENSION_SIZE and (
+            order_dimension(poset, 2) in (1, 2)
+        ) != isinstance(verdict, Orderable):
+            disagreements += 1
+            print(f"[{k}] order_dimension disagrees with the decider: {g.arcs}")
         if isinstance(verdict, Orderable):
             orderable += 1
             if not (truth and verify_realizer(verdict.realizer)):

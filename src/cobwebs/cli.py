@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import NoReturn
 
 from .cobweb import SequenceError, SequenceSpecError, build_cobweb, parse_sequence_spec
-from .graphs import CyclicInputError, Digraph, is_acyclic
+from .graphs import CyclicInputError, Digraph
 from .oracle import FinitePoset, TooLargeError, _check_dimension_size, order_dimension
 from .realizers import (
     NotRegular,
@@ -141,13 +141,10 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 
 def _cmd_dim(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    if args.max_k < 3:
-        dim = _dimension_up_to_2(g, args.max_k)
-    else:
-        if not is_acyclic(g):
-            raise CyclicInputError
+    dim = _dimension_up_to_2(g, min(args.max_k, 2))
+    if dim is None and args.max_k == 3:
         _check_dimension_size(len(g))
-        dim = order_dimension(FinitePoset.from_digraph(g), args.max_k)
+        dim = order_dimension(FinitePoset.from_digraph(g), 3)
     print(f"dimension: {dim}" if dim is not None else f"dimension: >{args.max_k}")
     return EXIT_OK
 
@@ -206,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     realize.set_defaults(func=_cmd_realize)
 
     dim = sub.add_parser(
-        "dim", help="order dimension (--max-k 3 by brute force, small graphs only)"
+        "dim", help="order dimension (above 2 by brute force, small graphs only)"
     )
     _add_input_options(dim)
     dim.add_argument("--max-k", type=int, choices=(1, 2, 3), default=3)

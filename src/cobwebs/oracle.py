@@ -1,11 +1,15 @@
 """Brute-force ground truth for small posets.
 
 Everything here takes the slow road on purpose: linear extensions are
-enumerated outright and dimension questions are settled by scanning
-pairs or triples of extensions for one whose intersection reproduces
-the order.  The module shares no search logic with the realizer
-construction, so agreement between the two is meaningful evidence.
-Hard size guards keep the combinatorics from running away.
+enumerated outright and dimension questions are settled on them
+directly.  Two extensions intersect in the order exactly when the
+second reverses every incomparable pair of the first, so each extension
+has one possible partner, and the pair search looks that partner up
+among all extensions; triples of extensions are scanned outright.
+
+The module shares no search logic with the realizer construction, so
+agreement between the two is meaningful evidence.  Hard size guards
+keep the combinatorics from running away.
 """
 
 from __future__ import annotations
@@ -152,29 +156,62 @@ def enumerate_linear_extensions(
             return
 
 
-def _extension_pair_masks(p: FinitePoset) -> tuple[list[tuple[int, ...]], list[int], int]:
-    """All extensions with their pair-set bitmasks, plus the target mask.
+def _extension_pair_masks(p: FinitePoset) -> tuple[list[int], int, int]:
+    """Pair-set bitmasks of all extensions, lexicographically; target; incomp.
 
     The mask of an extension has bit i*n + j set exactly when element i
-    comes before element j.  Two extensions realize the order exactly
-    when their masks intersect in the target mask (every extension's
-    mask is a superset of it).
+    comes before element j; ``target`` is the mask of the strict order
+    and ``incomp`` that of the ordered incomparable pairs.  Breadth
+    first, one list per depth: a state carries its placed set above the
+    n*n pair bits, and placing i on top of ``placed`` puts i before
+    every element still unplaced.
     """
     n = len(p)
-    extensions = list(_iter_extension_indices(_predecessor_masks(p)))
-    masks = []
-    for ext in extensions:
-        seen_after = 0
-        mask = 0
-        for e in reversed(ext):
-            mask |= seen_after << (e * n)
-            seen_after |= 1 << e
-        masks.append(mask)
+    pred = _predecessor_masks(p)
+    full = (1 << n) - 1
+    shift = n * n
+    steps: dict[int, list[int]] = {}
+    states = [0]
+    for _ in range(n - 1):  # the last element is forced and adds no pair
+        grown = []
+        for state in states:
+            placed = state >> shift
+            step = steps.get(placed)
+            if step is None:
+                step = steps[placed] = [
+                    (1 << i << shift) | (full & ~placed & ~(1 << i)) << (i * n)
+                    for i in range(n)
+                    if not (placed >> i & 1 or pred[i] & ~placed)
+                ]
+            grown += [state | s for s in step]
+        states = grown
+    pairs = (1 << shift) - 1
+    masks = [state & pairs for state in states]
     idx = {e: i for i, e in enumerate(p.elements)}
-    target = 0
+    target = transpose = 0
     for a, b in p.strict:
         target |= 1 << (idx[a] * n + idx[b])
-    return extensions, masks, target
+        transpose |= 1 << (idx[b] * n + idx[a])
+    diagonal = sum(1 << (i * n + i) for i in range(n))
+    incomp = pairs & ~diagonal & ~target & ~transpose
+    return masks, target, incomp
+
+
+def _realizing_pair(
+    masks: list[int], target: int, incomp: int
+) -> tuple[int, int] | None:
+    """The first mask, in order, with a partner intersecting it in target.
+
+    The only possible partner of m is ``target | (incomp & ~m)``.
+    Partnership is symmetric, so the first hit is also the first pair
+    (i, j >= i) of a scan over all pairs.
+    """
+    present = set(masks)
+    for m in masks:
+        partner = target | (incomp & ~m)
+        if partner in present and m & partner == target:
+            return m, partner
+    return None
 
 
 def _split_words(masks: list[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -185,39 +222,35 @@ def _split_words(masks: list[int]) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _chain_of(mask: int, p: FinitePoset) -> Chain:
+    """The extension with pair mask ``mask``: most elements after it first."""
+    n = len(p)
+    full = (1 << n) - 1
+    after = [(mask >> (i * n) & full).bit_count() for i in range(n)]
+    order = sorted(range(n), key=after.__getitem__, reverse=True)
+    return Chain(p.elements[i] for i in order)
+
+
 def brute_force_dim_le_2(p: FinitePoset) -> CheckResult:
     """Search all pairs of linear extensions for one realizing p.
 
-    The witness on success is a verified-by-construction Realizer over
-    the strict order digraph (the two chains may coincide, e.g. for a
-    total order).  Refuses posets larger than MAX_PAIR_SEARCH_SIZE
-    elements.  Deterministic: the lexicographically first realizing
-    pair wins.
+    Every extension is enumerated and looked up against its one
+    possible partner.  The witness on success is a
+    verified-by-construction Realizer over the strict order digraph (the
+    two chains may coincide, e.g. for a total order).  Refuses posets
+    larger than MAX_PAIR_SEARCH_SIZE elements.  Deterministic: the
+    lexicographically first realizing pair wins.
     """
-    import numpy as np
-
     if len(p) > MAX_PAIR_SEARCH_SIZE:
         raise TooLargeError(
             f"{len(p)} elements exceeds the pair-search guard "
             f"of {MAX_PAIR_SEARCH_SIZE}"
         )
-    extensions, masks, target = _extension_pair_masks(p)
-    lo, hi = _split_words(masks)
-    target_lo = np.uint64(target & _WORD)
-    target_hi = np.uint64(target >> 64)
-    for i in range(len(masks)):
-        hits = np.nonzero(
-            ((lo[i:] & lo[i]) == target_lo) & ((hi[i:] & hi[i]) == target_hi)
-        )[0]
-        if hits.size:
-            j = i + int(hits[0])
-            realizer = Realizer(
-                Chain(p.elements[k] for k in extensions[i]),
-                Chain(p.elements[k] for k in extensions[j]),
-                p.strict_digraph(),
-            )
-            return CheckResult(True, realizer)
-    return CheckResult(False)
+    pair = _realizing_pair(*_extension_pair_masks(p))
+    if pair is None:
+        return CheckResult(False)
+    first, second = (_chain_of(m, p) for m in pair)
+    return CheckResult(True, Realizer(first, second, p.strict_digraph()))
 
 
 def _check_dimension_size(n: int) -> None:
@@ -236,8 +269,6 @@ def order_dimension(p: FinitePoset, max_k: int = 3) -> int | None:
     MAX_DIMENSION_SIZE elements; past that the search space is out of
     reach for a literal scan.
     """
-    import numpy as np
-
     if not 1 <= max_k <= 3:
         raise ValueError(f"max_k must be 1, 2 or 3, got {max_k}")
     _check_dimension_size(len(p))
@@ -246,11 +277,13 @@ def order_dimension(p: FinitePoset, max_k: int = 3) -> int | None:
         return 1
     if max_k == 1:
         return None
-    if brute_force_dim_le_2(p):
+    masks, target, incomp = _extension_pair_masks(p)
+    if _realizing_pair(masks, target, incomp):
         return 2
     if max_k == 2:
         return None
-    _, masks, target = _extension_pair_masks(p)
+    import numpy as np
+
     lo, hi = _split_words(masks)
     for i in range(len(masks)):
         mi = masks[i]

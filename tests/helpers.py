@@ -137,3 +137,9 @@ def standard_3d_poset() -> FinitePoset:
         (a[i], b[j]) for i in range(3) for j in range(3) if i != j
     )
     return FinitePoset(tuple(a + b), pairs)
+
+
+def s3_plus(k: int) -> FinitePoset:
+    """S3 and k isolated elements: dimension 3 on 6 + k elements."""
+    s3 = standard_3d_poset()
+    return FinitePoset(s3.elements + tuple(row(k, 2)), s3.strict)

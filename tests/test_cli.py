@@ -19,7 +19,7 @@ from cobwebs.cli import (
 from cobwebs import cli
 from cobwebs.serialization import graph_to_edgelist, graph_to_json
 
-from helpers import graph_on, standard_3d_poset
+from helpers import graph_on, s3_plus, standard_3d_poset
 
 GOLDEN_CHAIN_X = [
     [1, 0], [1, 1], [1, 2], [1, 3], [2, 3],
@@ -43,6 +43,10 @@ def run(args, stdin="", capsys=None, monkeypatch=None):
 
 def s3_json() -> str:
     return graph_to_json(standard_3d_poset().strict_digraph())
+
+
+def s3_plus_json(k: int) -> str:
+    return graph_to_json(s3_plus(k).strict_digraph())
 
 
 class TestGen:
@@ -233,9 +237,10 @@ class TestDim:
         assert code == EXIT_OK
         assert out == "dimension: >2\n"
 
-    def test_too_large_exits_2(self, capsys):
+    def test_too_large_exits_2(self, capsys, monkeypatch):
+        # dimension 3 on 8 elements: past the guard of the brute force
         code, _, err = run(
-            ["dim", "--seq", "const:4", "--max-level", "2"], capsys=capsys
+            ["dim"], stdin=s3_plus_json(2), capsys=capsys, monkeypatch=monkeypatch
         )
         assert code == EXIT_BAD_INPUT
         assert "guard" in err
@@ -245,9 +250,16 @@ class TestDim:
             raise AssertionError("pair set built for a graph the guard refuses")
 
         monkeypatch.setattr(cli.FinitePoset, "from_digraph", no_pair_set)
-        code, _, err = run(["dim", "--seq", "fib", "--max-level", "14"], capsys=capsys)
+        code, _, err = run(
+            ["dim"], stdin=s3_plus_json(3), capsys=capsys, monkeypatch=monkeypatch
+        )
         assert code == EXIT_BAD_INPUT
-        assert err == "error: 987 elements exceeds the dimension guard of 7\n"
+        assert err == "error: 9 elements exceeds the dimension guard of 7\n"
+
+    def test_dimension_2_past_the_guard(self, capsys):
+        code, out, err = run(["dim", "--seq", "fib", "--max-level", "14"], capsys=capsys)
+        assert code == EXIT_OK
+        assert (out, err) == ("dimension: 2\n", "")
 
     @pytest.mark.parametrize("max_k", ["1", "2", "3"])
     def test_cyclic_input_exits_2(self, max_k, capsys, monkeypatch):

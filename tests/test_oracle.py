@@ -1,5 +1,8 @@
 """The brute-force side: extension enumeration and dimension search."""
 
+import random
+from time import perf_counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,19 +16,27 @@ from cobwebs import (
     build_cobweb,
     enumerate_linear_extensions,
     intersect_chains,
+    is_regular,
     order_dimension,
     reachability,
     verify_realizer,
 )
 
+from cobwebs.oracle import _extension_pair_masks
+
 from helpers import (
+    all_triangular_dags,
     fib_cobweb,
     graph_on,
     permutation_extensions,
+    random_regular_dag,
     row,
+    s3_plus,
     standard_3d_poset,
     v,
 )
+
+SEED = 20261018
 
 
 def poset_of(g) -> FinitePoset:
@@ -50,6 +61,60 @@ def small_posets(draw, max_vertices=5):
     from cobwebs import Digraph
 
     return poset_of(Digraph(vs, arcs))
+
+
+def regular_posets(max_vertices: int):
+    for n in range(max_vertices + 1):
+        for g in all_triangular_dags(n):
+            if is_regular(g):
+                yield poset_of(g)
+
+
+def seeded_posets(count: int, sizes: tuple[int, ...]):
+    rng = random.Random(SEED)
+    return [poset_of(random_regular_dag(rng, rng.choice(sizes))) for _ in range(count)]
+
+
+def reference_masks(p: FinitePoset):
+    """Extensions in enumeration order with their pair masks, and the target.
+
+    Bit i*n + j of a mask is set when element i comes before element j.
+    """
+    n = len(p)
+    idx = {e: i for i, e in enumerate(p.elements)}
+    chains, masks = [], []
+    for chain in enumerate_linear_extensions(p):
+        mask = later = 0
+        for e in reversed(chain.order):
+            mask |= later << (idx[e] * n)
+            later |= 1 << idx[e]
+        chains.append(chain)
+        masks.append(mask)
+    target = 0
+    for a, b in p.strict:
+        target |= 1 << (idx[a] * n + idx[b])
+    return chains, masks, target
+
+
+def reference_pair(p: FinitePoset):
+    """The first pair (i, j >= i) of extensions intersecting in the order."""
+    chains, masks, target = reference_masks(p)
+    for i, mi in enumerate(masks):
+        for j in range(i, len(masks)):
+            if mi & masks[j] == target:
+                return chains[i], chains[j]
+    return None
+
+
+def reference_dimension(p: FinitePoset, max_k: int):
+    """Fewest extensions, up to max_k, intersecting in the order."""
+    _, masks, target = reference_masks(p)
+    meets = set(masks)  # intersections of k extensions
+    for k in range(1, max_k + 1):
+        if target in meets:
+            return k
+        meets = {a & b for a in meets for b in masks}
+    return None
 
 
 class TestFinitePoset:
@@ -207,3 +272,61 @@ class TestOrderDimension:
         assert (dim <= 2) == bool(brute_force_dim_le_2(p))
         if dim == 1:
             assert len(p.strict) == len(p) * (len(p) - 1) // 2
+
+
+class TestPairSearchAgainstTheDefinition:
+    """The partner lookup against a literal scan over all pairs of extensions."""
+
+    @staticmethod
+    def assert_same_as_reference(p):
+        got = brute_force_dim_le_2(p)
+        want = reference_pair(p)
+        assert bool(got) == (want is not None), sorted(p.strict)
+        if want is not None:
+            assert (got.witness.first, got.witness.second) == want, sorted(p.strict)
+
+    def test_every_regular_dag_up_to_6_vertices(self):
+        for p in regular_posets(6):
+            self.assert_same_as_reference(p)
+
+    def test_seeded_dags_with_7_and_8_vertices(self):
+        for p in seeded_posets(30, (7, 8)):
+            self.assert_same_as_reference(p)
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_s3_plus_isolated(self, k):
+        p = s3_plus(k)
+        self.assert_same_as_reference(p)
+        assert not brute_force_dim_le_2(p)
+
+    def test_masks_are_the_enumerated_extensions_in_order(self):
+        posets = [*regular_posets(5), *seeded_posets(20, (7, 8)), s3_plus(1)]
+        for p in posets:
+            masks, target, incomp = _extension_pair_masks(p)
+            _, want, want_target = reference_masks(p)
+            assert (masks, target) == (want, want_target)
+            idx = {e: i for i, e in enumerate(p.elements)}
+            n = len(p)
+            assert incomp == sum(
+                1 << (idx[a] * n + idx[b])
+                for a in p.elements
+                for b in p.elements
+                if a != b and (a, b) not in p.strict and (b, a) not in p.strict
+            )
+
+    def test_order_dimension_matches_the_definition(self):
+        posets = [*regular_posets(5), *seeded_posets(15, (6, 7)), s3_plus(0), s3_plus(1)]
+        for p in posets:
+            for k in (1, 2, 3):
+                want = reference_dimension(p, k)
+                assert order_dimension(p, k) == want, (k, sorted(p.strict))
+
+    def test_nine_element_antichain_in_time(self):
+        p = poset_of(graph_on(9, []))
+        start = perf_counter()
+        result = brute_force_dim_le_2(p)
+        elapsed = perf_counter() - start
+        assert result
+        assert result.witness.first == Chain(row(9))
+        assert result.witness.second == Chain(reversed(row(9)))
+        assert elapsed < 1.5
