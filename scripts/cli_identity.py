@@ -12,8 +12,9 @@ The command lines cover gen, check, realize, dim --max-k 1|2|3 and
 export on --seq inputs; on shuffled JSON and edge-list files of cobwebs,
 of S3 plus isolated vertices, of random two-dimensional orders and of
 their transitive closures, and of random DAGs; on cyclic, malformed and
-loop inputs; and on invalid sequence specs, a negative max level and a
-missing file.  The input files are written by this script, not by
+loop inputs; and on invalid sequence specs, a negative max level, a
+missing file, a file that is not UTF-8 and an --output in a missing
+directory.  The input files are written by this script, not by
 either tree, so both read the same bytes.
 """
 
@@ -162,6 +163,9 @@ def write_inputs(rng: random.Random, root: Path) -> list[Path]:
         path.write_text(text)
         paths.append(path)
     paths.append(root / "missing.json")
+    not_utf8 = root / "not_utf8.txt"
+    not_utf8.write_bytes(b"\xff1,0 -> 2,0\n")
+    paths.append(not_utf8)
     return paths
 
 
@@ -176,6 +180,13 @@ def command_lines(paths: list[Path]) -> list[list[str]]:
     for path in paths:
         for command in FILE_COMMANDS:
             lines.append([*command, "--input", str(path)])
+    unwritable = str(paths[0].parent / "missing_dir" / "out")
+    for command in (
+        ["gen", "fib"],
+        ["realize", "--seq", "fib"],
+        ["export", "--seq", "fib"],
+    ):
+        lines.append([*command, "--max-level", "3", "--output", unwritable])
     return lines
 
 

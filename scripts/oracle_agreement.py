@@ -3,9 +3,9 @@
 
 Samples regular DAGs (random upper-triangular graphs reduced to their
 covers), runs both deciders on each, and reports any disagreement.  The
-oracle's own realizer must verify, and on graphs with at most 7
-vertices order_dimension must agree as well.  Exit status 0 means full
-agreement.
+oracle's own realizer must verify, and on graphs with at most
+MAX_DIMENSION_SIZE (8) vertices order_dimension must agree as well.
+Exit status 0 means full agreement.
 
     python3 scripts/oracle_agreement.py --count 500 --sizes 6,7 --seed 7
 """

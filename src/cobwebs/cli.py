@@ -6,9 +6,9 @@ orderability and print a two-chain realizer), dim (order dimension: up
 to 2 through the decider, 3 by brute force), export (format
 conversion).
 
-Exit codes: 0 success, 1 check failed, 2 malformed input or cyclic
-graph, 3 invalid sequence values, and for realize: 4 not regular,
-5 no admissible chain.
+Exit codes: 0 success, 1 check failed, 2 malformed input, an
+unreadable or unwritable file or a cyclic graph, 3 invalid sequence
+values, and for realize: 4 not regular, 5 no admissible chain.
 """
 
 from __future__ import annotations
@@ -59,19 +59,20 @@ def _fail(message: str, code: int) -> NoReturn:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
-        return Path(path).read_text()
-    except OSError as err:
+        return sys.stdin.read() if path == "-" else Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as err:
         _fail(f"cannot read {path}: {err}", EXIT_BAD_INPUT)
 
 
 def _write_text(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(path).write_text(text)
+    except OSError as err:
+        _fail(f"cannot write {path}: {err}", EXIT_BAD_INPUT)
 
 
 def _build_from_seq(spec: str, max_level: int | None) -> Digraph:

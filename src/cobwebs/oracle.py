@@ -5,7 +5,7 @@ enumerated outright and dimension questions are settled on them
 directly.  Two extensions intersect in the order exactly when the
 second reverses every incomparable pair of the first, so each extension
 has one possible partner, and the pair search looks that partner up
-among all extensions; triples of extensions are scanned outright.
+among all extensions; a third one is found by an acyclicity test.
 
 The module shares no search logic with the realizer construction, so
 agreement between the two is meaningful evidence.  Hard size guards
@@ -15,13 +15,11 @@ keep the combinatorics from running away.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from itertools import product
+from typing import Iterator
 
 from .graphs import Arc, Chain, CheckResult, Digraph, Vertex, reachability
 from .realizers import Realizer
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "FinitePoset",
@@ -36,9 +34,7 @@ __all__ = [
 
 MAX_ENUMERATION_SIZE = 12
 MAX_PAIR_SEARCH_SIZE = 9
-MAX_DIMENSION_SIZE = 7
-
-_WORD = (1 << 64) - 1
+MAX_DIMENSION_SIZE = 8
 
 
 class TooLargeError(ValueError):
@@ -214,14 +210,6 @@ def _realizing_pair(
     return None
 
 
-def _split_words(masks: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    import numpy as np
-
-    lo = np.array([m & _WORD for m in masks], dtype=np.uint64)
-    hi = np.array([m >> 64 for m in masks], dtype=np.uint64)
-    return lo, hi
-
-
 def _chain_of(mask: int, p: FinitePoset) -> Chain:
     """The extension with pair mask ``mask``: most elements after it first."""
     n = len(p)
@@ -261,13 +249,29 @@ def _check_dimension_size(n: int) -> None:
         )
 
 
+def _completes(pred: list[int], pairs: int) -> bool:
+    """Whether the order stays acyclic with each pair bit (a, b) of pairs reversed."""
+    n = len(pred)
+    full = (1 << n) - 1
+    rows = [row | pairs >> (a * n) & full for a, row in enumerate(pred)]
+    left, stuck = full, 0
+    while left != stuck:
+        stuck = left
+        for a, row in enumerate(rows):
+            if not row & left:
+                left &= ~(1 << a)
+    return not left
+
+
 def order_dimension(p: FinitePoset, max_k: int = 3) -> int | None:
     """Smallest number of linear extensions intersecting in p, up to max_k.
 
-    Returns None when the dimension exceeds ``max_k``.  Only
-    max_k in 1..3 is supported, and posets are refused beyond
-    MAX_DIMENSION_SIZE elements; past that the search space is out of
-    reach for a literal scan.
+    Returns None when the dimension exceeds ``max_k`` (1, 2 or 3).
+    Extensions realize p exactly when each critical pair is reversed by
+    one (Trotter, *Dimension Theory*, 1992), and a third extension
+    reverses the critical pairs two others put forward exactly when the
+    order stays acyclic with them reversed.  Refuses posets beyond
+    MAX_DIMENSION_SIZE elements, which admits S4 (dimension 4).
     """
     if not 1 <= max_k <= 3:
         raise ValueError(f"max_k must be 1, 2 or 3, got {max_k}")
@@ -282,17 +286,13 @@ def order_dimension(p: FinitePoset, max_k: int = 3) -> int | None:
         return 2
     if max_k == 2:
         return None
-    import numpy as np
-
-    lo, hi = _split_words(masks)
-    for i in range(len(masks)):
-        mi = masks[i]
-        for j in range(i, len(masks)):
-            excess = (mi & masks[j]) & ~target
-            third = np.nonzero(
-                ((lo & np.uint64(excess & _WORD)) == np.uint64(0))
-                & ((hi & np.uint64(excess >> 64)) == np.uint64(0))
-            )[0]
-            if third.size:
-                return 3
-    return None
+    pred = _predecessor_masks(p)
+    succ = [sum(1 << c for c in range(n) if pred[c] >> a & 1) for a in range(n)]
+    critical = sum(  # incomparable, below(a) <= below(b), above(b) <= above(a)
+        1 << (a * n + b)
+        for a, b in product(range(n), repeat=2)
+        if incomp >> (a * n + b) & 1 and not pred[a] & ~pred[b] | succ[b] & ~succ[a]
+    )
+    forward = list({m & critical for m in masks})
+    shared = (fi & fj for i, fi in enumerate(forward) for fj in forward[i:])
+    return 3 if any(_completes(pred, both) for both in shared) else None

@@ -129,14 +129,19 @@ def random_regular_dag(rng: random.Random, n: int) -> Digraph:
     return transitive_reduction(Digraph(vs, arcs))
 
 
-def standard_3d_poset() -> FinitePoset:
-    """Smallest poset of order dimension 3: a_i < b_j exactly when i != j."""
-    a = row(3, 0)
-    b = row(3, 1)
+def standard_example(k: int) -> FinitePoset:
+    """The standard example S_k of dimension k: a_i < b_j exactly when i != j."""
+    a = row(k, 0)
+    b = row(k, 1)
     pairs = frozenset(
-        (a[i], b[j]) for i in range(3) for j in range(3) if i != j
+        (a[i], b[j]) for i in range(k) for j in range(k) if i != j
     )
     return FinitePoset(tuple(a + b), pairs)
+
+
+def standard_3d_poset() -> FinitePoset:
+    """Smallest poset of order dimension 3."""
+    return standard_example(3)
 
 
 def s3_plus(k: int) -> FinitePoset:

@@ -19,7 +19,7 @@ from cobwebs.cli import (
 from cobwebs import cli
 from cobwebs.serialization import graph_to_edgelist, graph_to_json
 
-from helpers import graph_on, s3_plus, standard_3d_poset
+from helpers import graph_on, s3_plus, standard_3d_poset, standard_example
 
 GOLDEN_CHAIN_X = [
     [1, 0], [1, 1], [1, 2], [1, 3], [2, 3],
@@ -238,9 +238,9 @@ class TestDim:
         assert out == "dimension: >2\n"
 
     def test_too_large_exits_2(self, capsys, monkeypatch):
-        # dimension 3 on 8 elements: past the guard of the brute force
+        # dimension 3 on 9 elements: past the guard of the brute force
         code, _, err = run(
-            ["dim"], stdin=s3_plus_json(2), capsys=capsys, monkeypatch=monkeypatch
+            ["dim"], stdin=s3_plus_json(3), capsys=capsys, monkeypatch=monkeypatch
         )
         assert code == EXIT_BAD_INPUT
         assert "guard" in err
@@ -254,7 +254,25 @@ class TestDim:
             ["dim"], stdin=s3_plus_json(3), capsys=capsys, monkeypatch=monkeypatch
         )
         assert code == EXIT_BAD_INPUT
-        assert err == "error: 9 elements exceeds the dimension guard of 7\n"
+        assert err == "error: 9 elements exceeds the dimension guard of 8\n"
+
+    def test_runtime_does_not_need_numpy(self, tmp_path):
+        s3_1 = tmp_path / "s3_1.json"
+        s3_1.write_text(s3_plus_json(1))
+        s4 = tmp_path / "s4.json"
+        s4.write_text(graph_to_json(standard_example(4).strict_digraph()))
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from cobwebs.cli import main\n"
+            f"main(['dim', '--input', {str(s3_1)!r}])\n"
+            f"main(['dim', '--input', {str(s4)!r}])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "dimension: 3\ndimension: >3\n"
 
     def test_dimension_2_past_the_guard(self, capsys):
         code, out, err = run(["dim", "--seq", "fib", "--max-level", "14"], capsys=capsys)
@@ -302,6 +320,38 @@ class TestExport:
         one = run(args, capsys=capsys)[1]
         two = run(args, capsys=capsys)[1]
         assert one == two
+
+
+class TestFileErrors:
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff{}")
+        code, out, err = run(["check", "--input", str(path)], capsys=capsys)
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert "0xff" in err
+
+    def test_non_utf8_stdin_exits_2(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff{}"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(["check"], capsys=capsys)
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err.startswith("error: cannot read -: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "fib", "--max-level", "3"],
+            ["realize", "--seq", "fib", "--max-level", "3"],
+            ["export", "--seq", "fib", "--max-level", "3"],
+        ],
+        ids=["gen", "realize", "export"],
+    )
+    def test_unwritable_output_exits_2(self, argv, capsys, tmp_path):
+        for target in (tmp_path / "missing_dir" / "x", tmp_path):
+            code, out, err = run([*argv, "--output", str(target)], capsys=capsys)
+            assert (code, out) == (EXIT_BAD_INPUT, "")
+            assert err.startswith(f"error: cannot write {target}: ")
 
 
 def test_module_entry_point_smoke():

@@ -33,6 +33,7 @@ from helpers import (
     row,
     s3_plus,
     standard_3d_poset,
+    standard_example,
     v,
 )
 
@@ -260,9 +261,22 @@ class TestOrderDimension:
             order_dimension(p, max_k=4)
 
     def test_size_guard(self):
-        p = poset_of(graph_on(8, []))
+        p = poset_of(graph_on(9, []))
         with pytest.raises(TooLargeError):
             order_dimension(p)
+
+    # The literal k-fold reference takes tens of seconds at 8 elements,
+    # so these two use the known answers: S3 plus two isolated elements
+    # has dimension 3, and S4 is the smallest poset of dimension 4.
+    @pytest.mark.parametrize(
+        "p, want", [(s3_plus(2), 3), (standard_example(4), None)], ids=["S3+2", "S4"]
+    )
+    def test_eight_elements_in_time(self, p, want):
+        start = perf_counter()
+        got = order_dimension(p, max_k=3)
+        elapsed = perf_counter() - start
+        assert got == want
+        assert elapsed < 1
 
     @settings(max_examples=25, deadline=None)
     @given(small_posets())
