@@ -12,9 +12,10 @@ The command lines cover gen, check, realize, dim --max-k 1|2|3 and
 export on --seq inputs; on shuffled JSON and edge-list files of cobwebs,
 of S3 plus isolated vertices, of random two-dimensional orders and of
 their transitive closures, and of random DAGs; on cyclic, malformed and
-loop inputs; and on invalid sequence specs, a negative max level, a
-missing file, a file that is not UTF-8 and an --output in a missing
-directory.  The input files are written by this script, not by
+loop inputs, JSON nested past the decoder's recursion limit and an
+integer of 5,001 digits; and on invalid sequence specs, a negative max
+level, a missing file, a file that is not UTF-8 and an --output in a
+missing directory.  The input files are written by this script, not by
 either tree, so both read the same bytes.
 """
 
@@ -158,6 +159,9 @@ def write_inputs(rng: random.Random, root: Path) -> list[Path]:
         ("bad_json.json", '{"vertices": [[1, 0]], "arcs": [[[1, 0], [2, 0]]]}'),
         ("truncated.json", '{"vertices": [[1, 0'),
         ("duplicate.json", '{"vertices": [[1, 0], [1, 0]], "arcs": []}'),
+        # past the decoder's recursion limit, and an integer of 5,001 digits
+        ("deep.json", '{"vertices": ' + "[" * 100_000),
+        ("long_int.json", '{"vertices": [[1' + "0" * 5000 + ', 0]], "arcs": []}'),
     ):
         path = root / name
         path.write_text(text)

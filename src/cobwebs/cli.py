@@ -20,7 +20,13 @@ from typing import NoReturn
 
 from .cobweb import SequenceError, SequenceSpecError, build_cobweb, parse_sequence_spec
 from .graphs import CyclicInputError, Digraph
-from .oracle import FinitePoset, TooLargeError, _check_dimension_size, order_dimension
+from .oracle import (
+    MAX_DIMENSION_SIZE,
+    FinitePoset,
+    TooLargeError,
+    _check_size,
+    order_dimension,
+)
 from .realizers import (
     NotRegular,
     Orderable,
@@ -144,7 +150,7 @@ def _cmd_dim(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     dim = _dimension_up_to_2(g, min(args.max_k, 2))
     if dim is None and args.max_k == 3:
-        _check_dimension_size(len(g))
+        _check_size(len(g), MAX_DIMENSION_SIZE, "dimension")
         dim = order_dimension(FinitePoset.from_digraph(g), 3)
     print(f"dimension: {dim}" if dim is not None else f"dimension: >{args.max_k}")
     return EXIT_OK

@@ -14,7 +14,7 @@ only where a result is handed back to the caller.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -212,7 +212,6 @@ class Relation:
 
     vertices: tuple[Vertex, ...]
     pairs: frozenset[Arc]
-    source: Digraph | None = field(default=None, compare=False, repr=False)
 
     def __contains__(self, pair: Arc) -> bool:
         return pair in self.pairs
@@ -370,7 +369,7 @@ def reachability(g: Digraph) -> Relation:
     pairs = frozenset(
         (vs[i], vs[j]) for i in range(len(vs)) for j in _iter_bits(reach[i])
     )
-    return Relation(vs, pairs, source=g)
+    return Relation(vs, pairs)
 
 
 def _redundant_head_bits(

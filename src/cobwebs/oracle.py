@@ -7,18 +7,30 @@ second reverses every incomparable pair of the first, so each extension
 has one possible partner, and the pair search looks that partner up
 among all extensions; a third one is found by an acyclicity test.
 
-The module shares no search logic with the realizer construction, so
-agreement between the two is meaningful evidence.  Hard size guards
-keep the combinatorics from running away.
+``FinitePoset`` builds its order as bitmasks once, on validation, and
+every routine here reads them; ``enumerate_linear_extensions`` runs the
+topological-order enumerator of the graphs module.  The module shares
+no search logic with the realizer construction, so agreement between
+the two is meaningful evidence.  Hard size guards keep the
+combinatorics from running away.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 from typing import Iterator
 
-from .graphs import Arc, Chain, CheckResult, Digraph, Vertex, reachability
+from .graphs import (
+    Arc,
+    Chain,
+    CheckResult,
+    Digraph,
+    Vertex,
+    _iter_bits,
+    iter_topological_orders,
+    reachability,
+)
 from .realizers import Realizer
 
 __all__ = [
@@ -41,43 +53,59 @@ class TooLargeError(ValueError):
     """The input exceeds the size guard of a brute-force routine."""
 
 
+def _check_size(n: int, limit: int, guard: str) -> None:
+    """Refuse n elements beyond limit with TooLargeError."""
+    if n > limit:
+        raise TooLargeError(f"{n} elements exceeds the {guard} guard of {limit}")
+
+
 @dataclass(frozen=True)
 class FinitePoset:
     """An explicit strict partial order on a tuple of elements.
 
     The order axioms (irreflexivity, antisymmetry, transitivity) are
     validated on construction, as is containment of all pair endpoints
-    in ``elements``.
+    in ``elements``.  A transitivity failure names the first violation
+    in element order.
     """
 
     elements: tuple[Vertex, ...]
     strict: frozenset[Arc]
+    # bit i of _pred[j] (and bit j of _succ[i]): elements[i] < elements[j]
+    _pred: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _succ: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "elements", tuple(self.elements))
+        elements = tuple(self.elements)
+        object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "strict", frozenset(self.strict))
-        members = set(self.elements)
-        if len(members) != len(self.elements):
+        idx = {e: i for i, e in enumerate(elements)}
+        if len(idx) != len(elements):
             raise ValueError("duplicate elements")
-        succ: dict[Vertex, set[Vertex]] = {e: set() for e in self.elements}
+        pred, succ = [0] * len(elements), [0] * len(elements)
         for a, b in self.strict:
-            if a not in members or b not in members:
+            i, j = idx.get(a), idx.get(b)
+            if i is None or j is None:
                 raise ValueError(f"pair ({a}, {b}) uses a non-element")
-            if a == b:
+            if i == j:
                 raise ValueError(f"strict order is not irreflexive at {a}")
-            succ[a].add(b)
+            pred[j] |= 1 << i
+            succ[i] |= 1 << j
         for a, b in self.strict:
-            if (b, a) in self.strict:
+            if pred[idx[a]] >> idx[b] & 1:
                 raise ValueError(f"strict order is not antisymmetric on {a}, {b}")
-        for a in self.elements:
-            for b in succ[a]:
-                missing = succ[b] - succ[a]
+        for i, above in enumerate(succ):
+            for j in _iter_bits(above):
+                missing = succ[j] & ~above
                 if missing:
-                    c = next(iter(missing))
+                    a, b = elements[i], elements[j]
+                    c = elements[(missing & -missing).bit_length() - 1]
                     raise ValueError(
                         f"strict order is not transitive: {a} < {b} < {c} "
                         f"but not {a} < {c}"
                     )
+        object.__setattr__(self, "_pred", tuple(pred))
+        object.__setattr__(self, "_succ", tuple(succ))
 
     @classmethod
     def from_digraph(cls, g: Digraph) -> FinitePoset:
@@ -86,46 +114,11 @@ class FinitePoset:
 
     def strict_digraph(self) -> Digraph:
         """The strict order as a digraph, arcs in element order."""
-        idx = {e: i for i, e in enumerate(self.elements)}
-        arcs = sorted(self.strict, key=lambda p: (idx[p[0]], idx[p[1]]))
-        return Digraph(self.elements, arcs)
+        arcs = [(i, j) for i, row in enumerate(self._succ) for j in _iter_bits(row)]
+        return Digraph._from_index_arcs(self.elements, arcs)
 
     def __len__(self) -> int:
         return len(self.elements)
-
-
-def _predecessor_masks(p: FinitePoset) -> list[int]:
-    idx = {e: i for i, e in enumerate(p.elements)}
-    pred = [0] * len(p.elements)
-    for a, b in p.strict:
-        pred[idx[b]] |= 1 << idx[a]
-    return pred
-
-
-def _iter_extension_indices(pred: list[int]) -> Iterator[tuple[int, ...]]:
-    """Index tuples of all linear extensions, lexicographically.
-
-    Straightforward backtracking: a candidate may be placed once all of
-    its predecessors are placed.  Written independently of the
-    topological-order enumerator in the graphs module; the test suite
-    cross-checks the two.
-    """
-    n = len(pred)
-    out: list[int] = []
-
-    def walk(placed: int) -> Iterator[tuple[int, ...]]:
-        if len(out) == n:
-            yield tuple(out)
-            return
-        for i in range(n):
-            bit = 1 << i
-            if placed & bit or pred[i] & ~placed:
-                continue
-            out.append(i)
-            yield from walk(placed | bit)
-            out.pop()
-
-    yield from walk(0)
 
 
 def enumerate_linear_extensions(
@@ -137,19 +130,8 @@ def enumerate_linear_extensions(
     ``p.elements``.  ``limit`` caps the number of chains yielded.
     Refuses posets larger than MAX_ENUMERATION_SIZE elements.
     """
-    if len(p) > MAX_ENUMERATION_SIZE:
-        raise TooLargeError(
-            f"{len(p)} elements exceeds the enumeration guard "
-            f"of {MAX_ENUMERATION_SIZE}"
-        )
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be positive, got {limit}")
-    count = 0
-    for idx in _iter_extension_indices(_predecessor_masks(p)):
-        yield Chain(p.elements[i] for i in idx)
-        count += 1
-        if limit is not None and count >= limit:
-            return
+    _check_size(len(p), MAX_ENUMERATION_SIZE, "enumeration")
+    yield from iter_topological_orders(p.strict_digraph(), limit)
 
 
 def _extension_pair_masks(p: FinitePoset) -> tuple[list[int], int, int]:
@@ -163,7 +145,7 @@ def _extension_pair_masks(p: FinitePoset) -> tuple[list[int], int, int]:
     every element still unplaced.
     """
     n = len(p)
-    pred = _predecessor_masks(p)
+    pred = p._pred
     full = (1 << n) - 1
     shift = n * n
     steps: dict[int, list[int]] = {}
@@ -183,11 +165,8 @@ def _extension_pair_masks(p: FinitePoset) -> tuple[list[int], int, int]:
         states = grown
     pairs = (1 << shift) - 1
     masks = [state & pairs for state in states]
-    idx = {e: i for i, e in enumerate(p.elements)}
-    target = transpose = 0
-    for a, b in p.strict:
-        target |= 1 << (idx[a] * n + idx[b])
-        transpose |= 1 << (idx[b] * n + idx[a])
+    target = sum(above << (i * n) for i, above in enumerate(p._succ))
+    transpose = sum(below << (i * n) for i, below in enumerate(pred))
     diagonal = sum(1 << (i * n + i) for i in range(n))
     incomp = pairs & ~diagonal & ~target & ~transpose
     return masks, target, incomp
@@ -229,11 +208,7 @@ def brute_force_dim_le_2(p: FinitePoset) -> CheckResult:
     larger than MAX_PAIR_SEARCH_SIZE elements.  Deterministic: the
     lexicographically first realizing pair wins.
     """
-    if len(p) > MAX_PAIR_SEARCH_SIZE:
-        raise TooLargeError(
-            f"{len(p)} elements exceeds the pair-search guard "
-            f"of {MAX_PAIR_SEARCH_SIZE}"
-        )
+    _check_size(len(p), MAX_PAIR_SEARCH_SIZE, "pair-search")
     pair = _realizing_pair(*_extension_pair_masks(p))
     if pair is None:
         return CheckResult(False)
@@ -241,15 +216,7 @@ def brute_force_dim_le_2(p: FinitePoset) -> CheckResult:
     return CheckResult(True, Realizer(first, second, p.strict_digraph()))
 
 
-def _check_dimension_size(n: int) -> None:
-    """Refuse n elements beyond MAX_DIMENSION_SIZE with TooLargeError."""
-    if n > MAX_DIMENSION_SIZE:
-        raise TooLargeError(
-            f"{n} elements exceeds the dimension guard of {MAX_DIMENSION_SIZE}"
-        )
-
-
-def _completes(pred: list[int], pairs: int) -> bool:
+def _completes(pred: tuple[int, ...], pairs: int) -> bool:
     """Whether the order stays acyclic with each pair bit (a, b) of pairs reversed."""
     n = len(pred)
     full = (1 << n) - 1
@@ -275,8 +242,8 @@ def order_dimension(p: FinitePoset, max_k: int = 3) -> int | None:
     """
     if not 1 <= max_k <= 3:
         raise ValueError(f"max_k must be 1, 2 or 3, got {max_k}")
-    _check_dimension_size(len(p))
     n = len(p)
+    _check_size(n, MAX_DIMENSION_SIZE, "dimension")
     if len(p.strict) == n * (n - 1) // 2:
         return 1
     if max_k == 1:
@@ -286,8 +253,7 @@ def order_dimension(p: FinitePoset, max_k: int = 3) -> int | None:
         return 2
     if max_k == 2:
         return None
-    pred = _predecessor_masks(p)
-    succ = [sum(1 << c for c in range(n) if pred[c] >> a & 1) for a in range(n)]
+    pred, succ = p._pred, p._succ
     critical = sum(  # incomparable, below(a) <= below(b), above(b) <= above(a)
         1 << (a * n + b)
         for a, b in product(range(n), repeat=2)

@@ -118,7 +118,7 @@ def graph_from_json(text: str) -> Digraph:
     """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # JSONDecodeError is a ValueError
         raise FormatError(f"invalid JSON: {err}") from None
     if not isinstance(payload, dict):
         raise FormatError("expected a JSON object with 'vertices' and 'arcs'")

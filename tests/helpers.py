@@ -148,3 +148,12 @@ def s3_plus(k: int) -> FinitePoset:
     """S3 and k isolated elements: dimension 3 on 6 + k elements."""
     s3 = standard_3d_poset()
     return FinitePoset(s3.elements + tuple(row(k, 2)), s3.strict)
+
+
+# JSON that json.loads rejects with RecursionError (nesting deeper than
+# the recursion limit) and with ValueError (an integer of more than
+# 4,300 digits) rather than with JSONDecodeError.
+MALFORMED_JSON = {
+    "deep": '{"vertices": ' + "[" * 100_000,
+    "long_int": '{"vertices": [[1' + "0" * 5000 + ', 0]], "arcs": []}',
+}

@@ -19,7 +19,13 @@ from cobwebs.cli import (
 from cobwebs import cli
 from cobwebs.serialization import graph_to_edgelist, graph_to_json
 
-from helpers import graph_on, s3_plus, standard_3d_poset, standard_example
+from helpers import (
+    MALFORMED_JSON,
+    graph_on,
+    s3_plus,
+    standard_3d_poset,
+    standard_example,
+)
 
 GOLDEN_CHAIN_X = [
     [1, 0], [1, 1], [1, 2], [1, 3], [2, 3],
@@ -330,6 +336,14 @@ class TestFileErrors:
         assert (code, out) == (EXIT_BAD_INPUT, "")
         assert err.startswith(f"error: cannot read {path}: ")
         assert "0xff" in err
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_JSON))
+    def test_json_decoder_errors_exit_2(self, name, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(MALFORMED_JSON[name])
+        code, out, err = run(["check", "--input", str(path)], capsys=capsys)
+        assert (code, out) == (EXIT_BAD_INPUT, "")
+        assert err.startswith("error: invalid JSON: ")
 
     def test_non_utf8_stdin_exits_2(self, capsys, monkeypatch):
         stdin = io.TextIOWrapper(io.BytesIO(b"\xff{}"), encoding="utf-8")

@@ -1,6 +1,8 @@
 """The brute-force side: extension enumeration and dimension search."""
 
+import ast
 import random
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -22,6 +24,7 @@ from cobwebs import (
     verify_realizer,
 )
 
+from cobwebs import oracle
 from cobwebs.oracle import _extension_pair_masks
 
 from helpers import (
@@ -135,6 +138,19 @@ class TestFinitePoset:
                 tuple(row(3)), frozenset([(v(1), v(2)), (v(2), v(3))])
             )
 
+    def test_transitivity_names_the_first_violation_in_element_order(self):
+        # both 1 < 3 and 1 < 4 are missing; 3 comes first among the elements
+        pairs = [(v(1), v(2)), (v(2), v(3)), (v(2), v(4))]
+        with pytest.raises(ValueError) as info:
+            FinitePoset(tuple(row(4)), frozenset(pairs))
+        assert str(info.value) == (
+            "strict order is not transitive: 1,0 < 2,0 < 3,0 but not 1,0 < 3,0"
+        )
+
+    def test_rejects_duplicate_elements(self):
+        with pytest.raises(ValueError, match="^duplicate elements$"):
+            FinitePoset((v(1), v(2), v(1)), frozenset())
+
     def test_rejects_foreign_elements(self):
         with pytest.raises(ValueError, match="non-element"):
             FinitePoset(tuple(row(2)), frozenset([(v(1), v(9))]))
@@ -146,6 +162,25 @@ class TestFinitePoset:
     def test_strict_digraph_round_trip(self):
         p = poset_of(graph_on(4, [(0, 1), (1, 2), (0, 3)]))
         assert reachability(p.strict_digraph()).pairs == p.strict
+
+    def test_strict_digraph_arcs_in_element_order(self):
+        elements = (v(4), v(2), v(1), v(3))
+        pairs = {(v(1), v(2)), (v(1), v(3)), (v(2), v(3)), (v(4), v(3))}
+        got = FinitePoset(elements, frozenset(pairs)).strict_digraph().arcs
+        assert got == ((v(4), v(3)), (v(2), v(3)), (v(1), v(2)), (v(1), v(3)))
+
+
+def test_oracle_imports_only_realizer_from_the_decider():
+    """The oracle stays independent of the decider it checks."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+    from_decider = [n.lstrip(".") for n in names if "realizers" in n.split(".")]
+    assert from_decider == ["realizers.Realizer"]
 
 
 class TestEnumerateLinearExtensions:

@@ -32,7 +32,7 @@ from cobwebs.serialization import (
     verdict_to_json,
 )
 
-from helpers import fib_cobweb, graph_on, row, v
+from helpers import MALFORMED_JSON, fib_cobweb, graph_on, row, v
 
 
 class TestVertexText:
@@ -89,6 +89,11 @@ class TestJson:
     def test_rejects_malformed(self, bad):
         with pytest.raises(FormatError):
             graph_from_json(bad)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_JSON))
+    def test_decoder_errors_are_format_errors(self, name):
+        with pytest.raises(FormatError, match="^invalid JSON: "):
+            graph_from_json(MALFORMED_JSON[name])
 
 
 class TestEdgelist:
