@@ -14,6 +14,7 @@ only where a result is handed back to the caller.
 from __future__ import annotations
 
 import heapq
+from itertools import islice
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -540,18 +541,15 @@ def _iter_index_orders(n: int, succ: list[list[int]]) -> Iterator[tuple[int, ...
 
 
 def iter_topological_orders(g: Digraph, limit: int | None = None) -> Iterator[Chain]:
-    """Yield every topological order of g as a Chain, lexicographically.
+    """Every topological order of g as a Chain, lexicographically.
 
-    ``limit`` caps the number of chains yielded.  Raises
-    CyclicInputError when g has no topological order at all.
+    ``limit`` caps the number of chains yielded.  A non-positive limit
+    raises ValueError, and CyclicInputError is raised when g has no
+    topological order at all, both on the call, before any iteration.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
     if not is_acyclic(g):
         raise CyclicInputError("digraph contains a directed cycle")
-    count = 0
-    for idx in _iter_index_orders(len(g), g._succ):
-        yield Chain(g.vertices[i] for i in idx)
-        count += 1
-        if limit is not None and count >= limit:
-            return
+    indices = _iter_index_orders(len(g), g._succ)
+    return islice((Chain(g.vertices[i] for i in idx) for idx in indices), limit)

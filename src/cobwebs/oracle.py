@@ -8,7 +8,9 @@ has one possible partner, and the pair search looks that partner up
 among all extensions; a third one is found by an acyclicity test.
 
 ``FinitePoset`` builds its order as bitmasks once, on validation, and
-every routine here reads them; ``enumerate_linear_extensions`` runs the
+every routine here reads them; it enumerates its extensions once and
+keeps them, so the pair search and ``order_dimension`` share one
+enumeration.  ``enumerate_linear_extensions`` runs the
 topological-order enumerator of the graphs module.  The module shares
 no search logic with the realizer construction, so agreement between
 the two is meaningful evidence.  Hard size guards keep the
@@ -18,6 +20,7 @@ combinatorics from running away.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from typing import Iterator
 
@@ -66,7 +69,9 @@ class FinitePoset:
     The order axioms (irreflexivity, antisymmetry, transitivity) are
     validated on construction, as is containment of all pair endpoints
     in ``elements``.  A transitivity failure names the first violation
-    in element order.
+    in element order.  The extension pair masks are computed on first
+    use and kept for the poset's lifetime, outside the dataclass fields:
+    up to 9! masks at the pair-search guard while the poset is alive.
     """
 
     elements: tuple[Vertex, ...]
@@ -120,18 +125,25 @@ class FinitePoset:
     def __len__(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _extensions(self) -> tuple[list[int], int, int, tuple[int, int] | None]:
+        """``_extension_pair_masks`` and the realizing pair, enumerated once."""
+        masks, target, incomp = _extension_pair_masks(self)
+        return masks, target, incomp, _realizing_pair(masks, target, incomp)
+
 
 def enumerate_linear_extensions(
     p: FinitePoset, limit: int | None = None
 ) -> Iterator[Chain]:
-    """Yield every linear extension of p as a Chain, lexicographically.
+    """Every linear extension of p as a Chain, lexicographically.
 
     Lexicographic order is with respect to element positions in
     ``p.elements``.  ``limit`` caps the number of chains yielded.
-    Refuses posets larger than MAX_ENUMERATION_SIZE elements.
+    Refuses posets larger than MAX_ENUMERATION_SIZE elements, and a
+    non-positive limit, on the call, before any iteration.
     """
     _check_size(len(p), MAX_ENUMERATION_SIZE, "enumeration")
-    yield from iter_topological_orders(p.strict_digraph(), limit)
+    return iter_topological_orders(p.strict_digraph(), limit)
 
 
 def _extension_pair_masks(p: FinitePoset) -> tuple[list[int], int, int]:
@@ -139,33 +151,37 @@ def _extension_pair_masks(p: FinitePoset) -> tuple[list[int], int, int]:
 
     The mask of an extension has bit i*n + j set exactly when element i
     comes before element j; ``target`` is the mask of the strict order
-    and ``incomp`` that of the ordered incomparable pairs.  Breadth
-    first, one list per depth: a state carries its placed set above the
-    n*n pair bits, and placing i on top of ``placed`` puts i before
-    every element still unplaced.
+    and ``incomp`` that of the ordered incomparable pairs.  Placing i on
+    top of the down-set ``placed`` puts i before every element still
+    unplaced, so the pairs placed later depend on ``placed`` alone: each
+    down-set's list of suffix masks is built once, level by level from
+    the full set down to the empty one, and a level is dropped once the
+    level below it is built.  Concatenating over i ascending keeps the
+    lexicographic order.  ``FinitePoset._extensions`` keeps the result
+    for as long as the poset lives.
     """
     n = len(p)
-    pred = p._pred
+    pred, succ = p._pred, p._succ
     full = (1 << n) - 1
-    shift = n * n
-    steps: dict[int, list[int]] = {}
-    states = [0]
-    for _ in range(n - 1):  # the last element is forced and adds no pair
-        grown = []
-        for state in states:
-            placed = state >> shift
-            step = steps.get(placed)
-            if step is None:
-                step = steps[placed] = [
-                    (1 << i << shift) | (full & ~placed & ~(1 << i)) << (i * n)
-                    for i in range(n)
-                    if not (placed >> i & 1 or pred[i] & ~placed)
-                ]
-            grown += [state | s for s in step]
-        states = grown
-    pairs = (1 << shift) - 1
-    masks = [state & pairs for state in states]
-    target = sum(above << (i * n) for i, above in enumerate(p._succ))
+    larger = {full: [0]}  # the suffix masks of each down-set one larger
+    for _ in range(n):
+        # a down-set one smaller drops one of its maximal elements
+        level = {
+            upper ^ 1 << i: []
+            for upper in larger
+            for i in _iter_bits(upper)
+            if not succ[i] & upper
+        }
+        for placed, suffixes in level.items():
+            rest = full ^ placed
+            for i in _iter_bits(rest):
+                if not pred[i] & rest:
+                    bits = (rest ^ 1 << i) << (i * n)
+                    suffixes += [bits | m for m in larger[placed | 1 << i]]
+        larger = level
+    masks = larger[0]
+    pairs = (1 << n * n) - 1
+    target = sum(above << (i * n) for i, above in enumerate(succ))
     transpose = sum(below << (i * n) for i, below in enumerate(pred))
     diagonal = sum(1 << (i * n + i) for i in range(n))
     incomp = pairs & ~diagonal & ~target & ~transpose
@@ -209,7 +225,7 @@ def brute_force_dim_le_2(p: FinitePoset) -> CheckResult:
     lexicographically first realizing pair wins.
     """
     _check_size(len(p), MAX_PAIR_SEARCH_SIZE, "pair-search")
-    pair = _realizing_pair(*_extension_pair_masks(p))
+    pair = p._extensions[3]
     if pair is None:
         return CheckResult(False)
     first, second = (_chain_of(m, p) for m in pair)
@@ -248,8 +264,8 @@ def order_dimension(p: FinitePoset, max_k: int = 3) -> int | None:
         return 1
     if max_k == 1:
         return None
-    masks, target, incomp = _extension_pair_masks(p)
-    if _realizing_pair(masks, target, incomp):
+    masks, _, incomp, pair = p._extensions
+    if pair:
         return 2
     if max_k == 2:
         return None

@@ -279,6 +279,13 @@ class TestIterTopologicalOrders:
         with pytest.raises(CyclicInputError):
             next(iter_topological_orders(cyclic))
 
+    def test_guards_raise_on_the_call(self):
+        cyclic = Digraph(row(2), [(v(1), v(2)), (v(2), v(1))])
+        with pytest.raises(CyclicInputError):
+            iter_topological_orders(cyclic)
+        with pytest.raises(ValueError, match="limit"):
+            iter_topological_orders(Digraph(row(3)), limit=0)
+
     @settings(max_examples=40, deadline=None)
     @given(small_dags(max_vertices=5))
     def test_matches_permutation_filter(self, g):

@@ -1,6 +1,7 @@
 """The brute-force side: extension enumeration and dimension search."""
 
 import ast
+import dataclasses
 import random
 from pathlib import Path
 from time import perf_counter
@@ -207,6 +208,12 @@ class TestEnumerateLinearExtensions:
         with pytest.raises(TooLargeError):
             next(enumerate_linear_extensions(p))
 
+    def test_guards_raise_on_the_call(self):
+        with pytest.raises(TooLargeError):
+            enumerate_linear_extensions(poset_of(graph_on(13, [])))
+        with pytest.raises(ValueError, match="limit"):
+            enumerate_linear_extensions(poset_of(graph_on(4, [])), limit=0)
+
     def test_guard_boundary_is_inclusive(self):
         p = poset_of(graph_on(12, [(i, i + 1) for i in range(11)]))
         assert len(list(enumerate_linear_extensions(p))) == 1
@@ -349,7 +356,14 @@ class TestPairSearchAgainstTheDefinition:
         assert not brute_force_dim_le_2(p)
 
     def test_masks_are_the_enumerated_extensions_in_order(self):
-        posets = [*regular_posets(5), *seeded_posets(20, (7, 8)), s3_plus(1)]
+        posets = [
+            *regular_posets(5),
+            *seeded_posets(20, (7, 8)),
+            s3_plus(1),
+            s3_plus(2),
+            standard_example(4),
+            *(poset_of(graph_on(n, [])) for n in range(8)),
+        ]
         for p in posets:
             masks, target, incomp = _extension_pair_masks(p)
             _, want, want_target = reference_masks(p)
@@ -379,3 +393,75 @@ class TestPairSearchAgainstTheDefinition:
         assert result.witness.first == Chain(row(9))
         assert result.witness.second == Chain(reversed(row(9)))
         assert elapsed < 1.5
+
+
+class TestExtensionsOncePerPoset:
+    """The pair masks are enumerated once per poset and never seen from outside."""
+
+    @pytest.fixture
+    def enumerations(self, monkeypatch):
+        calls = []
+        enumerate_masks = oracle._extension_pair_masks
+
+        def counted(p):
+            calls.append(p)
+            return enumerate_masks(p)
+
+        monkeypatch.setattr(oracle, "_extension_pair_masks", counted)
+        return calls
+
+    @staticmethod
+    def seeded_dimension_2():
+        return next(p for p in seeded_posets(20, (7,)) if order_dimension(p) == 2)
+
+    @pytest.mark.parametrize("which, dim", [("seeded 7", 2), ("S3+1", 3)])
+    def test_both_oracle_calls_share_one_enumeration(self, enumerations, which, dim):
+        p = self.seeded_dimension_2() if which == "seeded 7" else s3_plus(1)
+        p = FinitePoset(p.elements, p.strict)  # fresh, nothing enumerated yet
+        enumerations.clear()  # choosing p enumerated other posets
+        assert bool(brute_force_dim_le_2(p)) == (dim == 2)
+        assert order_dimension(p, 2) == (2 if dim == 2 else None)
+        assert order_dimension(p, 3) == dim
+        assert enumerations == [p]
+
+    def test_a_chain_is_never_enumerated(self, enumerations):
+        assert order_dimension(poset_of(graph_on(4, [(0, 1), (1, 2), (2, 3)])), 1) == 1
+        assert enumerations == []
+
+    def test_size_guard_before_enumeration(self, enumerations):
+        with pytest.raises(TooLargeError):
+            order_dimension(poset_of(graph_on(9, [])))
+        assert enumerations == []
+
+    def test_memo_is_invisible(self):
+        fields = dataclasses.fields(FinitePoset)
+        assert [(f.name, f.init, f.compare, f.repr) for f in fields] == [
+            ("elements", True, True, True),
+            ("strict", True, True, True),
+            ("_pred", False, False, False),
+            ("_succ", False, False, False),
+        ]
+        p = self.seeded_dimension_2()
+        brute_force_dim_le_2(p)
+        order_dimension(p)
+        fresh = FinitePoset(p.elements, p.strict)
+        assert p == fresh
+        assert hash(p) == hash(fresh)
+        assert repr(p) == repr(fresh)
+
+    @pytest.mark.parametrize("dimension_first", [False, True])
+    def test_witness_does_not_depend_on_call_order(self, dimension_first):
+        def witness(p):
+            result = brute_force_dim_le_2(p)
+            return (result.witness.first, result.witness.second) if result else None
+
+        for p in [*seeded_posets(10, (6, 7)), s3_plus(1), cobweb_poset(fib_cobweb(4))]:
+            want = witness(FinitePoset(p.elements, p.strict))
+            p = FinitePoset(p.elements, p.strict)
+            if dimension_first:
+                dim = order_dimension(p)
+            got = witness(p)
+            if not dimension_first:
+                dim = order_dimension(p)
+            assert got == want
+            assert (dim <= 2) == (want is not None)
