@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import NoReturn
 
 from .cobweb import SequenceError, SequenceSpecError, build_cobweb, parse_sequence_spec
 from .graphs import CyclicInputError, Digraph
@@ -53,22 +52,14 @@ EXIT_NO_ADMISSIBLE = 5
 
 
 class _CliError(Exception):
-    """Internal: carries a message and an exit code to main()."""
-
-    def __init__(self, message: str, code: int) -> None:
-        super().__init__(message)
-        self.code = code
-
-
-def _fail(message: str, code: int) -> NoReturn:
-    raise _CliError(message, code)
+    """Internal: a message that main() prints before exiting with code 2."""
 
 
 def _read_text(path: str) -> str:
     try:
         return sys.stdin.read() if path == "-" else Path(path).read_text()
     except (OSError, UnicodeDecodeError) as err:
-        _fail(f"cannot read {path}: {err}", EXIT_BAD_INPUT)
+        raise _CliError(f"cannot read {path}: {err}")
 
 
 def _write_text(text: str, path: str | None) -> None:
@@ -78,19 +69,19 @@ def _write_text(text: str, path: str | None) -> None:
     try:
         Path(path).write_text(text)
     except OSError as err:
-        _fail(f"cannot write {path}: {err}", EXIT_BAD_INPUT)
+        raise _CliError(f"cannot write {path}: {err}")
 
 
 def _build_from_seq(spec: str, max_level: int | None) -> Digraph:
     if max_level is None:
-        _fail("--max-level is required with --seq", EXIT_BAD_INPUT)
+        raise _CliError("--max-level is required with --seq")
     sequence = parse_sequence_spec(spec)
     try:
         return build_cobweb(sequence, max_level).hasse
     except SequenceError:
         raise
     except ValueError as err:  # a negative max level
-        _fail(str(err), EXIT_BAD_INPUT)
+        raise _CliError(str(err))
 
 
 def _load_graph(args: argparse.Namespace) -> Digraph:
@@ -107,12 +98,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    checks = _check_graph(g)
-    if checks is None:
+    try:
+        regular, admissible = _check_graph(g)
+    except CyclicInputError:
         print("acyclic: FAIL")
-        raise CyclicInputError
+        raise
     print("acyclic: PASS")
-    regular, admissible = checks
     if regular:
         print("regular: PASS")
     else:
@@ -148,17 +139,17 @@ def _cmd_realize(args: argparse.Namespace) -> int:
 
 def _cmd_dim(args: argparse.Namespace) -> int:
     g = _load_graph(args)
-    dim = _dimension_up_to_2(g, min(args.max_k, 2))
+    dim = _dimension_up_to_2(g)
     if dim is None and args.max_k == 3:
         _check_size(len(g), MAX_DIMENSION_SIZE, "dimension")
         dim = order_dimension(FinitePoset.from_digraph(g), 3)
-    print(f"dimension: {dim}" if dim is not None else f"dimension: >{args.max_k}")
+    shown = dim if dim is not None and dim <= args.max_k else f">{args.max_k}"
+    print(f"dimension: {shown}")
     return EXIT_OK
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    g = _load_graph(args)
-    _write_text(render_graph(g, args.format), args.output)
+    _write_text(render_graph(_load_graph(args), args.format), args.output)
     return EXIT_OK
 
 
@@ -229,13 +220,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as err:
-        message, code = str(err), err.code
     except CyclicInputError:
         message, code = "input digraph contains a directed cycle", EXIT_BAD_INPUT
     except SequenceError as err:
         message, code = str(err), EXIT_BAD_SEQUENCE
-    except (FormatError, SequenceSpecError, TooLargeError) as err:
+    except (_CliError, FormatError, SequenceSpecError, TooLargeError) as err:
         message, code = str(err), EXIT_BAD_INPUT
     print(f"error: {message}", file=sys.stderr)
     return code

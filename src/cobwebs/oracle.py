@@ -67,8 +67,8 @@ class FinitePoset:
     """An explicit strict partial order on a tuple of elements.
 
     The order axioms (irreflexivity, antisymmetry, transitivity) are
-    validated on construction, as is containment of all pair endpoints
-    in ``elements``.  A transitivity failure names the first violation
+    validated in that order on construction, as is containment of all
+    pair endpoints in ``elements``; a failure names the first violation
     in element order.  The extension pair masks are computed on first
     use and kept for the poset's lifetime, outside the dataclass fields:
     up to 9! masks at the pair-search guard while the poset is alive.
@@ -92,12 +92,14 @@ class FinitePoset:
             i, j = idx.get(a), idx.get(b)
             if i is None or j is None:
                 raise ValueError(f"pair ({a}, {b}) uses a non-element")
-            if i == j:
-                raise ValueError(f"strict order is not irreflexive at {a}")
             pred[j] |= 1 << i
             succ[i] |= 1 << j
-        for a, b in self.strict:
-            if pred[idx[a]] >> idx[b] & 1:
+        for i, above in enumerate(succ):
+            if above >> i & 1:
+                raise ValueError(f"strict order is not irreflexive at {elements[i]}")
+        for i, mask in enumerate(lo & hi for lo, hi in zip(pred, succ)):
+            if mask:
+                a, b = elements[i], elements[(mask & -mask).bit_length() - 1]
                 raise ValueError(f"strict order is not antisymmetric on {a}, {b}")
         for i, above in enumerate(succ):
             for j in _iter_bits(above):

@@ -35,7 +35,6 @@ from .graphs import (
     _chain_positions,
     _inverse,
     _iter_bits,
-    _kahn_order,
     _position_reach,
     _reach_bits,
     _regularity,
@@ -129,7 +128,7 @@ class NoAdmissibleChain:
     """The digraph has no admissible linear extension: its order has dimension > 2.
 
     The verdict is always conclusive; ``exhaustive`` is always True and
-    stays only because the verdict JSON prints it.
+    stays because the verdict JSON prints it and the benchmark reads it.
     """
 
     exhaustive: bool = True
@@ -249,9 +248,7 @@ def conjugate_chain(x: Chain, g: Digraph) -> Chain:
             # the positions ranked before k are the ones a greedy peel of
             # unbeaten positions takes; the rest hold the cycle
             beats = [reach[q] | (((1 << q) - 1) & ~above[q]) for q in range(n)]
-            remaining = (1 << n) - 1
-            for q in ranked[:k]:
-                remaining &= ~(1 << q)
+            remaining = sum(1 << q for q in ranked[k:])
             raise ConjugateCycleError(_tournament_cycle(beats, remaining, x))
     return Chain(x.order[p] for p in ranked)
 
@@ -260,31 +257,26 @@ def _tournament_cycle(
     beats: list[int], remaining: int, x: Chain
 ) -> tuple[Vertex, ...]:
     """Locate a directed cycle in the restriction of beats to remaining."""
-    visited: set[int] = set()
+    visited = 0
     for root in _iter_bits(remaining):
-        if root in visited:
+        if visited >> root & 1:
             continue
-        visited.add(root)
-        stack = [(root, _iter_bits(beats[root] & remaining))]
-        path = [root]
-        on_path = {root}
-        while stack:
-            _, neighbors = stack[-1]
-            advanced = False
-            for nb in neighbors:
-                if nb in on_path:
-                    start = path.index(nb)
-                    return tuple(x.order[p] for p in path[start:])
-                if nb not in visited:
-                    visited.add(nb)
-                    stack.append((nb, _iter_bits(beats[nb] & remaining)))
+        visited |= 1 << root
+        path, on_path = [root], 1 << root
+        neighbors = [_iter_bits(beats[root] & remaining)]  # unexplored, per path entry
+        while path:
+            for nb in neighbors[-1]:
+                if on_path >> nb & 1:
+                    return tuple(x.order[p] for p in path[path.index(nb) :])
+                if not visited >> nb & 1:
+                    visited |= 1 << nb
+                    on_path |= 1 << nb
                     path.append(nb)
-                    on_path.add(nb)
-                    advanced = True
+                    neighbors.append(_iter_bits(beats[nb] & remaining))
                     break
-            if not advanced:
-                stack.pop()
-                on_path.discard(path.pop())
+            else:
+                on_path &= ~(1 << path.pop())
+                neighbors.pop()
     raise AssertionError("no cycle found in a sourceless tournament")
 
 
@@ -300,6 +292,11 @@ def _orient_incomparability(reach: list[int], above: list[int]) -> list[int] | N
     neighbour c of b not adjacent to a.  A class that forces some pair
     both ways proves that no T exists, and the result is None.
     Otherwise the classes together are a transitive orientation.
+    Forcing commutes with reversal, so the class of q -> p is the
+    reverse of the class A of p -> q: A = A⁻¹ or A ∩ A⁻¹ = ∅ (Golumbic
+    1980, ch. 5), and A holds a pair both ways exactly when it holds
+    q -> p.  Each added pair is pushed, so one test before each pop
+    finds q -> p as soon as it appears.
     """
     n = len(reach)
     full = (1 << n) - 1
@@ -317,16 +314,14 @@ def _orient_incomparability(reach: list[int], above: list[int]) -> list[int] | N
         tails = {q: 1 << p}  # and its transpose: tails[b] -> b
         todo = [(p, q)]
         while todo:
+            if heads.get(q, 0) >> p & 1:
+                return None
             a, b = todo.pop()
             for c in _iter_bits(adj[a] & ~adj[b] & ~(1 << b) & ~heads.get(a, 0)):
-                if heads.get(c, 0) >> a & 1:
-                    return None
                 heads[a] = heads.get(a, 0) | 1 << c
                 tails[c] = tails.get(c, 0) | 1 << a
                 todo.append((a, c))
             for c in _iter_bits(adj[b] & ~adj[a] & ~(1 << a) & ~tails.get(b, 0)):
-                if heads.get(b, 0) >> c & 1:
-                    return None
                 heads[c] = heads.get(c, 0) | 1 << b
                 tails[b] = tails.get(b, 0) | 1 << c
                 todo.append((c, b))
@@ -344,55 +339,51 @@ def _realizer_positions(
 
     ``first`` is Kahn's order, ``pos_of`` its inverse and ``reach`` the
     reach masks in its positions.  The chains are P ∪ T and P ∪ T⁻¹ for
-    a transitive orientation T of the incomparability graph.  Kahn's
-    order is such a P ∪ T exactly when its conjugate's scores are all
-    different.  Every cobweb takes that exit, which saves the
-    orientation: the levels of a cobweb are cliques of the
-    incomparability graph, in which every pair would be an implication
-    class of its own.  Otherwise _orient_incomparability gives T's
-    out-degrees, and each chain lists the positions by falling count of
-    later ones: |reach| + out in P ∪ T, n - 1 - |above| - out in
-    P ∪ T⁻¹.  The pair is verified against ``reach``, which does not
-    depend on T, and AssertionError is raised if it fails.
+    a transitive orientation T of the incomparability graph; with
+    ``out`` T's out-degrees, they list the positions by falling
+    |reach| + out and n - 1 - |above| - out.  Kahn's order is tried
+    first (``out``: its incomparable positions after p), and is P ∪ T
+    exactly when the second key, its conjugate's score, takes n values.
+    Every cobweb takes that exit, which saves _orient_incomparability:
+    the levels of a cobweb are cliques of the incomparability graph, in
+    which every pair would be an implication class of its own.  The
+    pair is verified against ``reach``, which does not depend on T, and
+    AssertionError is raised if it fails.
     """
     n = len(first)
     above = _above_masks(succ, first, pos_of)
-    score = _conjugate_scores(reach, above)
-    if len(set(score)) == n:
-        chains = list(range(n)), _ranked(score)
+    if len(set(_conjugate_scores(reach, above))) == n:
+        out = [n - 1 - p - r.bit_count() for p, r in enumerate(reach)]
     else:
         out = _orient_incomparability(reach, above)
-        if out is None:
-            return None
-        chains = (
-            _ranked([reach[p].bit_count() + out[p] for p in range(n)]),
-            _ranked([n - 1 - above[p].bit_count() - out[p] for p in range(n)]),
-        )
+    if out is None:
+        return None
+    chains = (
+        _ranked([reach[p].bit_count() + out[p] for p in range(n)]),
+        _ranked([n - 1 - above[p].bit_count() - out[p] for p in range(n)]),
+    )
     if any(_mismatch_masks(reach, *chains)):
         raise AssertionError("constructed realizer failed verification")
     return chains
 
 
-def _check_graph(g: Digraph) -> tuple[CheckResult, CheckResult] | None:
+def _check_graph(g: Digraph) -> tuple[CheckResult, CheckResult]:
     """Regularity of g, and whether it has an admissible linear extension.
 
     One Kahn pass and one reach pass serve both.  When no admissible
     extension exists the witness is the first forbidden triple of
-    Kahn's order.  None when g is cyclic.
+    Kahn's order.  Raises CyclicInputError for cyclic g.
     """
-    first = _kahn_order(len(g), g._succ)
-    if first is None:
-        return None
+    first = _acyclic_order(g)
     pos_of, reach = _along(g, first)
-    if _realizer_positions(g._succ, first, pos_of, reach) is not None:
-        admissible = CheckResult(True)
-    else:
+    admissible = CheckResult(True)
+    if _realizer_positions(g._succ, first, pos_of, reach) is None:
         admissible = _admissibility([g.vertices[i] for i in first], reach)
     return _regularity(g, pos_of, reach), admissible
 
 
-def _dimension_up_to_2(g: Digraph, max_k: int) -> int | None:
-    """Order dimension of g's reachability if at most max_k (1 or 2), else None.
+def _dimension_up_to_2(g: Digraph) -> int | None:
+    """Order dimension of g's reachability if at most 2 (1 or 2), else None.
 
     The order is total, i.e. of dimension 1, exactly when the realizer's
     two chains coincide.  g need not be regular; raises
@@ -402,19 +393,17 @@ def _dimension_up_to_2(g: Digraph, max_k: int) -> int | None:
     chains = _realizer_positions(g._succ, first, *_along(g, first))
     if chains is None:
         return None
-    if chains[0] == chains[1]:
-        return 1
-    return 2 if max_k == 2 else None
+    return 1 if chains[0] == chains[1] else 2
 
 
 def decide_orderable(g: Digraph) -> OrderabilityVerdict:
     """Decide whether g is the Hasse diagram of an order of dimension <= 2.
 
-    Regularity is checked first.  Then the realizer is sought: Kahn's
-    order (the lexicographically first topological order) and its
-    conjugate if that order is admissible, else P ∪ T and P ∪ T⁻¹ for a
-    transitive orientation T of the incomparability graph.  The
-    realizer is verified before it is returned.  When T does not exist
+    Regularity is checked first.  Then the realizer is sought: P ∪ T
+    and P ∪ T⁻¹ for a transitive orientation T of the incomparability
+    graph, Kahn's order (the lexicographically first topological order)
+    being the first P ∪ T tried.  The realizer is verified before it is
+    returned.  When T does not exist
     the verdict is NoAdmissibleChain; every verdict is conclusive.
 
     One Kahn pass and one reach pass along its order serve acyclicity,

@@ -108,6 +108,20 @@ class TestGen:
         code, _, _ = run(["gen", "const:0", "--max-level", "1"], capsys=capsys)
         assert code == EXIT_BAD_SEQUENCE
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "fib", "--max-level", "-1"],
+            ["realize", "--seq", "fib", "--max-level", "-1"],
+        ],
+        ids=["gen", "realize"],
+    )
+    def test_negative_max_level_exits_2(self, argv, capsys):
+        code, out, err = run(argv, capsys=capsys)
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err == "error: max_level must be >= 0, got -1\n"
+
     def test_missing_max_level_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["gen", "fib"])
@@ -163,6 +177,13 @@ class TestCheck:
             ["check"], stdin="garbage", capsys=capsys, monkeypatch=monkeypatch
         )
         assert code == EXIT_BAD_INPUT
+
+    def test_vertices_not_a_list_exits_2(self, capsys, monkeypatch):
+        text = '{"vertices": {}, "arcs": []}'
+        code, out, err = run(["check"], stdin=text, capsys=capsys, monkeypatch=monkeypatch)
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err == "error: 'vertices' and 'arcs' must be lists\n"
 
 
 class TestRealize:

@@ -13,6 +13,7 @@ from cobwebs import (
     FibonacciSequence,
     LevelOutOfRangeError,
     NonPositiveSizeError,
+    SequenceError,
     SequenceSpecError,
     Vertex,
     build_cobweb,
@@ -48,6 +49,12 @@ class TestSequences:
     def test_explicit(self):
         seq = ExplicitSequence((2, 1, 3))
         assert [seq.size(s) for s in range(3)] == [2, 1, 3]
+
+    def test_explicit_needs_an_entry(self):
+        with pytest.raises(
+            SequenceError, match="^explicit sequence needs at least one entry$"
+        ):
+            ExplicitSequence(())
 
     def test_explicit_level_out_of_range(self):
         with pytest.raises(LevelOutOfRangeError):

@@ -4,7 +4,8 @@ verify_realizer, conjugate_chain and the parsers work on vertex indices
 and bitmasks.  Each is checked here against a reference written the
 slow way: realizers against the intersection of the two chains versus
 the reflexive reachability pairs, conjugates against a greedy peel of
-unbeaten vertices, parsers against Vertex-per-endpoint parsing into the
+unbeaten vertices, the cycle search against the original stack-based
+search, parsers against Vertex-per-endpoint parsing into the
 public Digraph constructor.  Deep inputs check that nothing recurses
 once per vertex.
 """
@@ -46,7 +47,7 @@ from cobwebs.serialization import (
     parse_vertex,
 )
 
-from helpers import fib_cobweb, row, v
+from helpers import fib_cobweb, reference_tournament_cycle, row, v
 
 
 # ------------------------------------------------------------ references
@@ -94,7 +95,7 @@ def reference_conjugate(x: Chain, g: Digraph) -> Chain:
             None,
         )
         if pick is None:
-            raise ConjugateCycleError(_tournament_cycle(beats, remaining, x))
+            raise ConjugateCycleError(reference_tournament_cycle(beats, remaining, x))
         out.append(x[pick])
         remaining &= ~(1 << pick)
     return Chain(out)
@@ -317,6 +318,47 @@ class TestConjugateMatchesGreedy:
         with pytest.raises(ConjugateCycleError) as expected:
             reference_conjugate(x, g)
         assert got.value.cycle == expected.value.cycle == (v(3), v(5), v(4))
+
+
+def random_tournament(rng: random.Random, n: int) -> list[int]:
+    """Beats masks of a random tournament on n vertices."""
+    beats = [0] * n
+    for i, j in itertools.combinations(range(n), 2):
+        if rng.random() < 0.5:
+            beats[i] |= 1 << j
+        else:
+            beats[j] |= 1 << i
+    return beats
+
+
+def a_triangle(beats: list[int]) -> int | None:
+    """The mask of some directed triangle, or None if the tournament is acyclic."""
+    n = len(beats)
+    for a, b, c in itertools.permutations(range(n), 3):
+        if beats[a] >> b & 1 and beats[b] >> c & 1 and beats[c] >> a & 1:
+            return 1 << a | 1 << b | 1 << c
+    return None
+
+
+class TestTournamentCycleMatchesReference:
+    @pytest.mark.parametrize("superset", [False, True], ids=["full", "superset"])
+    def test_same_cycle(self, superset):
+        rng = random.Random(20260)
+        checked = 0
+        while checked < 400:
+            n = rng.randint(3, 10)
+            beats = random_tournament(rng, n)
+            triangle = a_triangle(beats)
+            if triangle is None:
+                continue
+            remaining = (1 << n) - 1
+            if superset:
+                remaining = triangle | rng.getrandbits(n)
+            x = Chain(row(n))
+            assert _tournament_cycle(beats, remaining, x) == (
+                reference_tournament_cycle(beats, remaining, x)
+            ), (beats, remaining)
+            checked += 1
 
 
 # ----------------------------------------------------------------- parsers

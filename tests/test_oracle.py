@@ -148,6 +148,27 @@ class TestFinitePoset:
             "strict order is not transitive: 1,0 < 2,0 < 3,0 but not 1,0 < 3,0"
         )
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([(1, 1), (2, 2)], "strict order is not irreflexive at 1,0"),
+            (
+                [(1, 2), (2, 1), (3, 4), (4, 3)],
+                "strict order is not antisymmetric on 1,0, 2,0",
+            ),
+        ],
+        ids=["irreflexive", "antisymmetric"],
+    )
+    @pytest.mark.parametrize("reverse", [False, True], ids=["built", "reversed"])
+    def test_axiom_failure_names_the_first_violation_in_element_order(
+        self, pairs, message, reverse
+    ):
+        # the message must not depend on the order the pair set was built in
+        built = pairs[::-1] if reverse else pairs
+        with pytest.raises(ValueError) as info:
+            FinitePoset(tuple(row(4)), frozenset((v(a), v(b)) for a, b in built))
+        assert str(info.value) == message
+
     def test_rejects_duplicate_elements(self):
         with pytest.raises(ValueError, match="^duplicate elements$"):
             FinitePoset((v(1), v(2), v(1)), frozenset())
