@@ -72,28 +72,19 @@ def _write_text(text: str, path: str | None) -> None:
         raise _CliError(f"cannot write {path}: {err}")
 
 
-def _build_from_seq(spec: str, max_level: int | None) -> Digraph:
-    if max_level is None:
+def _load_graph(args: argparse.Namespace) -> Digraph:
+    """The cobweb that --seq (gen: SEQSPEC) names, else the --input graph."""
+    if args.seq is None:
+        return graph_from_text(_read_text(args.input))
+    if args.max_level is None:
         raise _CliError("--max-level is required with --seq")
-    sequence = parse_sequence_spec(spec)
+    sequence = parse_sequence_spec(args.seq)
     try:
-        return build_cobweb(sequence, max_level).hasse
+        return build_cobweb(sequence, args.max_level).hasse
     except SequenceError:
         raise
     except ValueError as err:  # a negative max level
         raise _CliError(str(err))
-
-
-def _load_graph(args: argparse.Namespace) -> Digraph:
-    if args.seq is not None:
-        return _build_from_seq(args.seq, args.max_level)
-    return graph_from_text(_read_text(args.input))
-
-
-def _cmd_gen(args: argparse.Namespace) -> int:
-    hasse = _build_from_seq(args.sequence, args.max_level)
-    _write_text(render_graph(hasse, args.format), args.output)
-    return EXIT_OK
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -179,14 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a cobweb Hasse diagram")
     gen.add_argument(
-        "sequence",
+        "seq",
         metavar="SEQSPEC",
         help="level sizes: fib, const:K, or list:a,b,c",
     )
     gen.add_argument("--max-level", type=int, required=True)
     gen.add_argument("--format", choices=GRAPH_FORMATS, default="json")
     gen.add_argument("--output", default=None, help="output file (default stdout)")
-    gen.set_defaults(func=_cmd_gen)
+    gen.set_defaults(func=_cmd_export)
 
     check = sub.add_parser(
         "check",

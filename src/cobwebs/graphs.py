@@ -5,10 +5,10 @@ the brute force oracle) works over the small vocabulary defined here:
 vertices labelled by position and level, digraphs with deterministic
 iteration order, chains, and reachability relations.  All reachability-style
 computations run on vertex indices and integer bitmasks: a Digraph
-keeps its arcs as index pairs and successor lists beside the Vertex
-objects, and reachability is kept as one mask per vertex, either over
-vertex indices or over positions along a chain.  Vertex objects appear
-only where a result is handed back to the caller.
+stores its arcs only as index pairs and successor lists, and
+reachability is kept as one mask per vertex, either over vertex
+indices or over positions along a chain.  Vertex objects appear only
+where a result is handed back to the caller.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from itertools import islice
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 __all__ = [
     "Arc",
@@ -95,26 +95,16 @@ class Digraph:
     Vertices keep their construction order and arcs keep first-insertion
     order, so every computation derived from a Digraph is deterministic.
     Duplicate arcs are dropped silently; duplicate vertices, loops and
-    arcs with unknown endpoints are rejected.
+    arcs with unknown endpoints are rejected.  The arcs are stored only
+    as index pairs; ``arcs`` builds the vertex pairs on each read.
     """
 
-    __slots__ = ("vertices", "_arcs", "_index", "_succ", "_arc_index")
+    __slots__ = ("vertices", "_index", "_succ", "_arc_index")
 
     def __init__(self, vertices: Iterable[Vertex], arcs: Iterable[Arc] = ()) -> None:
         vs = tuple(vertices)
         index = _vertex_index(vs)
-
-        def resolved() -> Iterator[tuple[int, int]]:
-            for tail, head in arcs:
-                t = index.get(tail)
-                if t is None:
-                    raise ValueError(f"arc endpoint {tail} is not a vertex")
-                h = index.get(head)
-                if h is None:
-                    raise ValueError(f"arc endpoint {head} is not a vertex")
-                yield t, h
-
-        self._build(vs, index, resolved())
+        self._build(vs, index, _resolved(index, arcs, str))
 
     @classmethod
     def _from_index_arcs(
@@ -151,18 +141,15 @@ class Digraph:
             succ[t].append(h)
             kept.append(arc)
         self.vertices = vs
-        self._arcs: tuple[Arc, ...] | None = None
         self._index = index
         self._succ = succ
         self._arc_index = kept
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
-        """The arcs as vertex pairs, in first-insertion order."""
-        if self._arcs is None:
-            vs = self.vertices
-            self._arcs = tuple([(vs[t], vs[h]) for t, h in self._arc_index])
-        return self._arcs
+        """The arcs as vertex pairs, in first-insertion order, built on each read."""
+        vs = self.vertices
+        return tuple([(vs[t], vs[h]) for t, h in self._arc_index])
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -173,13 +160,16 @@ class Digraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        return self.vertices == other.vertices and set(self.arcs) == set(other.arcs)
+        # equal vertex tuples give equal index maps, so index arcs compare
+        return self.vertices == other.vertices and set(self._arc_index) == set(
+            other._arc_index
+        )
 
     def __hash__(self) -> int:
-        return hash((self.vertices, frozenset(self.arcs)))
+        return hash((self.vertices, frozenset(self._arc_index)))
 
     def __repr__(self) -> str:
-        return f"Digraph({len(self.vertices)} vertices, {len(self.arcs)} arcs)"
+        return f"Digraph({len(self.vertices)} vertices, {len(self._arc_index)} arcs)"
 
     def index(self, v: Vertex) -> int:
         try:
@@ -200,6 +190,22 @@ def _vertex_index(vs: tuple[Vertex, ...]) -> dict[Vertex, int]:
                 raise ValueError(f"duplicate vertex {v}")
             seen.add(v)
     return index
+
+
+def _resolved(
+    index: dict[Any, int], arcs: Iterable[tuple[Any, Any]], name: Callable[[Any], Any]
+) -> Iterator[tuple[int, int]]:
+    """The arcs as index pairs, resolved lazily through ``index``.
+
+    An unknown endpoint, tail before head, raises ValueError with
+    ``name`` formatting its key.
+    """
+    for tail, head in arcs:
+        t, h = index.get(tail), index.get(head)
+        if t is None or h is None:
+            unknown = tail if t is None else head
+            raise ValueError(f"arc endpoint {name(unknown)} is not a vertex")
+        yield t, h
 
 
 @dataclass(frozen=True)
@@ -428,17 +434,13 @@ def is_regular(g: Digraph) -> CheckResult:
     return _regularity(g, range(len(g)), _reach_bits(g))
 
 
-def _require_same_vertex_set(c: Chain, g: Digraph) -> None:
-    if c._rank.keys() != g._index.keys():
+def _chain_positions(c: Chain, g: Digraph) -> list[int]:
+    """pos_of[i] = position along c of vertex i of g; c must cover g."""
+    rank = c._rank
+    if rank.keys() != g._index.keys():
         raise VertexSetMismatchError(
             "chain does not cover exactly the digraph's vertex set"
         )
-
-
-def _chain_positions(c: Chain, g: Digraph) -> list[int]:
-    """pos_of[i] = position along c of vertex i of g; c must cover g."""
-    _require_same_vertex_set(c, g)
-    rank = c._rank
     return [rank[v] for v in g.vertices]
 
 
@@ -475,14 +477,6 @@ def _admissibility_witness(pos_reach: list[int]) -> tuple[int, int, int] | None:
     return None
 
 
-def _admissibility(order: Sequence[Vertex], pos_reach: list[int]) -> CheckResult:
-    """is_admissible for the chain ``order`` from its reach masks."""
-    hit = _admissibility_witness(pos_reach)
-    if hit is None:
-        return CheckResult(True)
-    return CheckResult(False, tuple(order[p] for p in hit))
-
-
 def is_admissible(c: Chain, g: Digraph) -> CheckResult:
     """Whether chain c avoids every forbidden incomparability triple in g.
 
@@ -494,7 +488,10 @@ def is_admissible(c: Chain, g: Digraph) -> CheckResult:
     vertex set as c; c itself does not have to be a linear extension.
     """
     pos_of = _chain_positions(c, g)
-    return _admissibility(c.order, _position_reach(g._succ, _acyclic_order(g), pos_of))
+    hit = _admissibility_witness(_position_reach(g._succ, _acyclic_order(g), pos_of))
+    if hit is None:
+        return CheckResult(True)
+    return CheckResult(False, tuple(c.order[p] for p in hit))
 
 
 def _iter_index_orders(n: int, succ: list[list[int]]) -> Iterator[tuple[int, ...]]:
@@ -549,7 +546,6 @@ def iter_topological_orders(g: Digraph, limit: int | None = None) -> Iterator[Ch
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    if not is_acyclic(g):
-        raise CyclicInputError("digraph contains a directed cycle")
+    _acyclic_order(g)
     indices = _iter_index_orders(len(g), g._succ)
     return islice((Chain(g.vertices[i] for i in idx) for idx in indices), limit)

@@ -66,12 +66,13 @@ def _check_size(n: int, limit: int, guard: str) -> None:
 class FinitePoset:
     """An explicit strict partial order on a tuple of elements.
 
-    The order axioms (irreflexivity, antisymmetry, transitivity) are
-    validated in that order on construction, as is containment of all
-    pair endpoints in ``elements``; a failure names the first violation
-    in element order.  The extension pair masks are computed on first
-    use and kept for the poset's lifetime, outside the dataclass fields:
-    up to 9! masks at the pair-search guard while the poset is alive.
+    Containment of all pair endpoints in ``elements``, then the order
+    axioms (irreflexivity, antisymmetry, transitivity) are validated in
+    that order on construction.  A failure names the first violation in
+    element order; for non-elements, the least offending pair in vertex
+    order.  The extension pair masks are computed on first use and kept
+    for the poset's lifetime, outside the dataclass fields: up to 9!
+    masks at the pair-search guard while the poset is alive.
     """
 
     elements: tuple[Vertex, ...]
@@ -91,6 +92,8 @@ class FinitePoset:
         for a, b in self.strict:
             i, j = idx.get(a), idx.get(b)
             if i is None or j is None:
+                bad = (p for p in self.strict if p[0] not in idx or p[1] not in idx)
+                a, b = min(bad)
                 raise ValueError(f"pair ({a}, {b}) uses a non-element")
             pred[j] |= 1 << i
             succ[i] |= 1 << j

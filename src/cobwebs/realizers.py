@@ -30,7 +30,7 @@ from .graphs import (
     Vertex,
     VertexSetMismatchError,
     _acyclic_order,
-    _admissibility,
+    _admissibility_witness,
     _along,
     _chain_positions,
     _inverse,
@@ -38,7 +38,6 @@ from .graphs import (
     _position_reach,
     _reach_bits,
     _regularity,
-    is_linear_extension,
 )
 
 __all__ = [
@@ -234,9 +233,9 @@ def conjugate_chain(x: Chain, g: Digraph) -> Chain:
     extension of g (NotLinearExtensionError otherwise, which also
     covers cyclic g since those have no linear extensions).
     """
-    if not is_linear_extension(x, g):
-        raise NotLinearExtensionError("chain is not a linear extension of the digraph")
     pos_of = _chain_positions(x, g)
+    if not all(pos_of[t] < pos_of[h] for t, h in g._arc_index):
+        raise NotLinearExtensionError("chain is not a linear extension of the digraph")
     order = _inverse(pos_of)
     reach = _position_reach(g._succ, order, pos_of)
     above = _above_masks(g._succ, order, pos_of)
@@ -378,7 +377,8 @@ def _check_graph(g: Digraph) -> tuple[CheckResult, CheckResult]:
     pos_of, reach = _along(g, first)
     admissible = CheckResult(True)
     if _realizer_positions(g._succ, first, pos_of, reach) is None:
-        admissible = _admissibility([g.vertices[i] for i in first], reach)
+        hit = _admissibility_witness(reach)
+        admissible = CheckResult(False, tuple(g.vertices[first[p]] for p in hit))
     return _regularity(g, pos_of, reach), admissible
 
 

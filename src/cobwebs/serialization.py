@@ -8,9 +8,9 @@ emitters are byte-deterministic for a given input.
 from __future__ import annotations
 
 import json
-from typing import Any, Iterator
+from typing import Any, Iterable
 
-from .graphs import Digraph, Vertex, _inverse
+from .graphs import Digraph, Vertex, _inverse, _resolved
 from .realizers import (
     NoAdmissibleChain,
     NotRegular,
@@ -35,15 +35,12 @@ __all__ = [
     "verdict_to_json",
 ]
 
-GRAPH_FORMATS = ("json", "dot", "edgelist")
-
-
 class FormatError(ValueError):
     """Input text does not parse as the expected format."""
 
 
 def format_vertex(v: Vertex) -> str:
-    return f"{v.position},{v.level}"
+    return str(v)
 
 
 def _vertex_key(text: str) -> tuple[int, int]:
@@ -68,13 +65,13 @@ def parse_vertex(text: str) -> Vertex:
     return _text_vertex(_vertex_key(text), text)
 
 
-def _vertex_json(v: Vertex) -> list[int]:
-    return [v.position, v.level]
+def _vertex_json(v: Vertex) -> str:
+    return f"[{v.position}, {v.level}]"
 
 
-def _inline(item: Any) -> str:
-    """JSON with no newlines, for the innermost vertex and arc lists."""
-    return json.dumps(item, separators=(", ", ": "))
+def _vertex_list(vs: Iterable[Vertex]) -> str:
+    """A JSON list of vertices on one line."""
+    return "[" + ", ".join(map(_vertex_json, vs)) + "]"
 
 
 def _block(name: str, items: list[str]) -> str:
@@ -103,7 +100,7 @@ def _json_vertex_key(item: Any) -> tuple[int, int]:
 
 
 def graph_to_json(g: Digraph) -> str:
-    texts = [f"[{v.position}, {v.level}]" for v in g.vertices]
+    texts = [_vertex_json(v) for v in g.vertices]
     vertices = _block("vertices", texts)
     arcs = _block("arcs", [f"[{texts[t]}, {texts[h]}]" for t, h in g._arc_index])
     return "{\n  " + vertices + ",\n  " + arcs + "\n}\n"
@@ -135,30 +132,17 @@ def graph_from_json(text: str) -> Digraph:
             raise FormatError(f"expected an arc as [tail, head], got {item!r}")
         arc_keys.append((_json_vertex_key(item[0]), _json_vertex_key(item[1])))
     index = {key: i for i, key in enumerate(keys)}
-
-    def resolved() -> Iterator[tuple[int, int]]:
-        for tail, head in arc_keys:
-            t = index.get(tail)
-            if t is None:
-                raise FormatError(f"arc endpoint {Vertex(*tail)} is not a vertex")
-            h = index.get(head)
-            if h is None:
-                raise FormatError(f"arc endpoint {Vertex(*head)} is not a vertex")
-            yield t, h
-
+    arcs = _resolved(index, arc_keys, lambda key: Vertex(*key))
     try:
-        return Digraph._from_index_arcs([Vertex(*key) for key in keys], resolved())
+        return Digraph._from_index_arcs([Vertex(*key) for key in keys], arcs)
     except ValueError as err:
         raise FormatError(str(err)) from None
 
 
-def _level_position(v: Vertex) -> tuple[int, int]:
-    return (v.level, v.position)
-
-
 def _level_order(g: Digraph) -> list[int]:
     """Vertex indices sorted by level, then position."""
-    return sorted(range(len(g)), key=lambda i: _level_position(g.vertices[i]))
+    vs = g.vertices
+    return sorted(range(len(vs)), key=lambda i: (vs[i].level, vs[i].position))
 
 
 def _sorted_arcs(g: Digraph, order: list[int]) -> list[tuple[int, int]]:
@@ -244,14 +228,14 @@ def graph_to_dot(g: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+_EMITTERS = {"json": graph_to_json, "dot": graph_to_dot, "edgelist": graph_to_edgelist}
+GRAPH_FORMATS = tuple(_EMITTERS)
+
+
 def render_graph(g: Digraph, fmt: str) -> str:
-    if fmt == "json":
-        return graph_to_json(g)
-    if fmt == "dot":
-        return graph_to_dot(g)
-    if fmt == "edgelist":
-        return graph_to_edgelist(g)
-    raise ValueError(f"unknown graph format {fmt!r}")
+    if fmt not in _EMITTERS:
+        raise ValueError(f"unknown graph format {fmt!r}")
+    return _EMITTERS[fmt](g)
 
 
 def graph_from_text(text: str) -> Digraph:
@@ -262,18 +246,9 @@ def graph_from_text(text: str) -> Digraph:
     return graph_from_edgelist(text)
 
 
-def _chain_line(name: str, chain) -> str:
-    return f'"{name}": ' + _inline([_vertex_json(v) for v in chain])
-
-
 def realizer_to_json(r: Realizer) -> str:
-    return (
-        "{\n  "
-        + _chain_line("chain_x", r.first)
-        + ",\n  "
-        + _chain_line("chain_y", r.second)
-        + "\n}\n"
-    )
+    x, y = _vertex_list(r.first), _vertex_list(r.second)
+    return '{\n  "chain_x": ' + x + ',\n  "chain_y": ' + y + "\n}\n"
 
 
 def verdict_to_json(verdict: OrderabilityVerdict) -> str:
@@ -281,7 +256,7 @@ def verdict_to_json(verdict: OrderabilityVerdict) -> str:
         realizer = realizer_to_json(verdict.realizer)[:-1].replace("\n", "\n  ")
         return '{\n  "kind": "orderable",\n  "realizer": ' + realizer + "\n}\n"
     if isinstance(verdict, NotRegular):
-        witness = _inline([_vertex_json(v) for v in verdict.witness])
+        witness = _vertex_list(verdict.witness)
         return '{\n  "kind": "not_regular",\n  "witness": ' + witness + "\n}\n"
     if isinstance(verdict, NoAdmissibleChain):
         flag = json.dumps(verdict.exhaustive)

@@ -65,6 +65,21 @@ class TestDigraph:
         with pytest.raises(ValueError, match="not a vertex"):
             Digraph([v(1)], [(v(1), v(2))])
 
+    @pytest.mark.parametrize(
+        "arcs, message",
+        [
+            ([(v(1), v(9))], "arc endpoint 9,0 is not a vertex"),
+            ([(v(8), v(9))], "arc endpoint 8,0 is not a vertex"),
+            ([(v(1), v(1)), (v(1), v(9))], "loop at 1,0"),
+        ],
+        ids=["head", "tail-first", "loop-first"],
+    )
+    def test_arc_errors_name_the_first_fault(self, arcs, message):
+        # arcs are resolved one at a time, the tail before the head
+        with pytest.raises(ValueError) as info:
+            Digraph([v(1)], arcs)
+        assert str(info.value) == message
+
     def test_deduplicates_arcs(self):
         g = Digraph([v(1), v(2)], [(v(1), v(2)), (v(1), v(2))])
         assert g.arcs == ((v(1), v(2)),)
@@ -79,6 +94,17 @@ class TestDigraph:
         b = graph_on(3, [(1, 2), (0, 1)])
         assert a == b
         assert hash(a) == hash(b)
+
+    def test_equality_needs_the_same_vertex_order(self):
+        arcs = [(v(1), v(2))]
+        a = Digraph([v(1), v(2)], arcs)
+        assert a == Digraph([v(1), v(2)], arcs * 2)
+        assert hash(a) == hash(Digraph([v(1), v(2)], arcs * 2))
+        assert a != Digraph([v(2), v(1)], arcs)
+
+    def test_repr_counts_deduplicated_arcs(self):
+        g = Digraph([v(1), v(2), v(3)], [(v(1), v(2))] * 3)
+        assert repr(g) == "Digraph(3 vertices, 1 arcs)"
 
 
 class TestAcyclicity:

@@ -177,6 +177,14 @@ class TestFinitePoset:
         with pytest.raises(ValueError, match="non-element"):
             FinitePoset(tuple(row(2)), frozenset([(v(1), v(9))]))
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["built", "reversed"])
+    def test_non_element_names_the_least_offending_pair(self, reverse):
+        pairs = [(v(1), v(9)), (v(2), v(8))]
+        built = pairs[::-1] if reverse else pairs
+        with pytest.raises(ValueError) as info:
+            FinitePoset(tuple(row(2)), frozenset(built))
+        assert str(info.value) == "pair (1,0, 9,0) uses a non-element"
+
     def test_from_digraph_takes_reachability(self):
         g = graph_on(3, [(0, 1), (1, 2)])
         assert poset_of(g).strict == reachability(g).pairs

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cobwebs import (
+    Chain,
     ConstantSequence,
     Digraph,
     NoAdmissibleChain,
@@ -213,6 +214,18 @@ class TestRealizerAndVerdictJson:
     def test_not_regular_verdict(self):
         payload = json.loads(verdict_to_json(NotRegular((v(1, 0), v(1, 2)))))
         assert payload == {"kind": "not_regular", "witness": [[1, 0], [1, 2]]}
+
+    def test_not_regular_verdict_golden(self):
+        assert verdict_to_json(NotRegular((v(1, 0), v(1, 2)))) == (
+            "{\n"
+            '  "kind": "not_regular",\n'
+            '  "witness": [[1, 0], [1, 2]]\n'
+            "}\n"
+        )
+
+    def test_empty_realizer_golden(self):
+        r = Realizer(Chain([]), Chain([]), Digraph([]))
+        assert realizer_to_json(r) == '{\n  "chain_x": [],\n  "chain_y": []\n}\n'
 
     def test_no_admissible_chain_verdict(self):
         payload = json.loads(verdict_to_json(NoAdmissibleChain(exhaustive=False)))
