@@ -3,10 +3,14 @@
 
 Writes seeded input files to a temporary directory, runs a fixed list of
 ``python -m cobwebs`` command lines once with each tree's ``src`` on
-PYTHONPATH, and reports every command line whose exit code, stdout or
-stderr differ.  Exit status 0 means no difference.
+PYTHONPATH and its own PYTHONHASHSEED, and reports every command line
+whose exit code, stdout or stderr differ.  Exit status 0 means no
+difference.
 
     python3 scripts/cli_identity.py OLD_TREE NEW_TREE
+
+Run with the same tree twice (``. .``) it checks that no output depends
+on the hash seed; that takes about four minutes.
 
 The command lines cover gen, check, realize, dim --max-k 1|2|3 and
 export on --seq inputs; on shuffled JSON and edge-list files of cobwebs,
@@ -35,6 +39,7 @@ Vertex = tuple[int, int]  # (position, level)
 Graph = tuple[list[Vertex], list[tuple[Vertex, Vertex]]]
 
 SEED = 11
+HASH_SEEDS = ("1", "2")  # one per tree
 SEQ_INPUTS = [
     *(("fib", level) for level in range(10)),
     ("fib", 12),
@@ -194,8 +199,10 @@ def command_lines(paths: list[Path]) -> list[list[str]]:
     return lines
 
 
-def run(tree: Path, argv: list[str], cwd: Path) -> tuple[int, bytes, bytes]:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+def run(
+    tree: Path, hash_seed: str, argv: list[str], cwd: Path
+) -> tuple[int, bytes, bytes]:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED=hash_seed)
     done = subprocess.run(
         [sys.executable, "-m", "cobwebs", *argv],
         cwd=cwd,
@@ -219,9 +226,10 @@ def main() -> int:
         root = Path(tmp)
         parts = ["exit code", "stdout", "stderr"]
         results = []
+        old_seed, new_seed = HASH_SEEDS
         for argv in command_lines(write_inputs(random.Random(SEED), root)):
-            old = run(args.old.resolve(), argv, root)
-            new = run(args.new.resolve(), argv, root)
+            old = run(args.old.resolve(), old_seed, argv, root)
+            new = run(args.new.resolve(), new_seed, argv, root)
             differ = [p for p, a, b in zip(parts, old, new) if a != b]
             results.append((argv, old[0], differ))
 

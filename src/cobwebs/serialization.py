@@ -8,6 +8,7 @@ emitters are byte-deterministic for a given input.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any, Iterable
 
 from .graphs import Digraph, Vertex, _inverse, _resolved
@@ -126,15 +127,29 @@ def graph_from_json(text: str) -> Digraph:
     ):
         raise FormatError("'vertices' and 'arcs' must be lists")
     keys = [_json_vertex_key(item) for item in payload["vertices"]]
-    arc_keys = []
+    index = {key: i for i, key in enumerate(keys)}
+    arcs: list[tuple[int, int]] = []
+    faults = []  # arcs with an unknown endpoint or a loop, in order
     for item in payload["arcs"]:
+        # Among JSON values only a 2-list of two 2-lists of ints unpacks
+        # to four ints, so a well-formed arc costs no call.
+        try:
+            (tp, tl), (hp, hl) = item
+        except (TypeError, ValueError):
+            pass
+        else:
+            if type(tp) is type(tl) is type(hp) is type(hl) is int:
+                t, h = index.get((tp, tl)), index.get((hp, hl))
+                if t is not None and h is not None and t != h:
+                    arcs.append((t, h))
+                    continue
         if not isinstance(item, list) or len(item) != 2:
             raise FormatError(f"expected an arc as [tail, head], got {item!r}")
-        arc_keys.append((_json_vertex_key(item[0]), _json_vertex_key(item[1])))
-    index = {key: i for i, key in enumerate(keys)}
-    arcs = _resolved(index, arc_keys, lambda key: Vertex(*key))
+        faults.append((_json_vertex_key(item[0]), _json_vertex_key(item[1])))
+    # _build raises the first fault only after its duplicate-vertex check
+    resolved = chain(arcs, _resolved(index, faults, lambda key: Vertex(*key)))
     try:
-        return Digraph._from_index_arcs([Vertex(*key) for key in keys], arcs)
+        return Digraph._from_index_arcs([Vertex(*key) for key in keys], resolved)
     except ValueError as err:
         raise FormatError(str(err)) from None
 
@@ -145,11 +160,10 @@ def _level_order(g: Digraph) -> list[int]:
     return sorted(range(len(vs)), key=lambda i: (vs[i].level, vs[i].position))
 
 
-def _sorted_arcs(g: Digraph, order: list[int]) -> list[tuple[int, int]]:
-    """Index arcs sorted by tail, then head, in the vertex ``order`` given."""
+def _sorted_heads(g: Digraph, order: list[int]) -> list[tuple[int, list[int]]]:
+    """Each tail in the vertex ``order`` given, with its heads sorted in it."""
     rank = _inverse(order)
-    n = len(order)
-    return sorted(g._arc_index, key=lambda a: rank[a[0]] * n + rank[a[1]])
+    return [(t, sorted(g._succ[t], key=rank.__getitem__)) for t in order]
 
 
 def graph_to_edgelist(g: Digraph) -> str:
@@ -160,10 +174,11 @@ def graph_to_edgelist(g: Digraph) -> str:
     """
     texts = [format_vertex(v) for v in g.vertices]
     order = _level_order(g)
-    arcs = _sorted_arcs(g, order)
-    touched = {i for arc in arcs for i in arc}
-    lines = [f"{texts[t]} -> {texts[h]}" for t, h in arcs]
-    lines.extend(texts[i] for i in order if i not in touched)
+    lines = [
+        f"{texts[t]} -> {texts[h]}" for t, heads in _sorted_heads(g, order) for h in heads
+    ]
+    all_heads = set().union(*g._succ)
+    lines.extend(texts[i] for i in order if not g._succ[i] and i not in all_heads)
     if not lines:
         return ""
     return "\n".join(lines) + "\n"
@@ -183,26 +198,31 @@ def graph_from_edgelist(text: str) -> Digraph:
     vertices: list[Vertex] = []
     arcs: list[tuple[int, int]] = []
 
-    def register(token: str) -> int:
-        i = seen_text.get(token)
+    def register(token: str) -> int:  # a token not met before
+        key = _vertex_key(token)
+        i = index.get(key)
         if i is None:
-            key = _vertex_key(token)
-            i = index.get(key)
-            if i is None:
-                vertices.append(_text_vertex(key, token))
-                i = index[key] = len(index)
-            seen_text[token] = i
+            vertices.append(_text_vertex(key, token))
+            i = index[key] = len(index)
+        seen_text[token] = i
         return i
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        lhs, arrow, rhs = line.partition("->")
         try:
-            if "->" in line:
-                lhs, _, rhs = line.partition("->")
-                arcs.append((register(lhs.strip()), register(rhs.strip())))
-            else:
+            if arrow:
+                lhs, rhs = lhs.strip(), rhs.strip()
+                t = seen_text.get(lhs)
+                if t is None:
+                    t = register(lhs)
+                h = seen_text.get(rhs)
+                if h is None:
+                    h = register(rhs)
+                arcs.append((t, h))
+            elif line not in seen_text:
                 register(line)
         except FormatError as err:
             raise FormatError(f"line {lineno}: {err}") from None
@@ -222,8 +242,8 @@ def graph_to_dot(g: Digraph) -> str:
     lines = ["digraph {", "  rankdir=BT;"]
     for row in by_level.values():
         lines.append(f"  {{ rank=same; {'; '.join(row)}; }}")
-    for t, h in _sorted_arcs(g, order):
-        lines.append(f"  {texts[t]} -> {texts[h]};")
+    for t, heads in _sorted_heads(g, order):
+        lines.extend(f"  {texts[t]} -> {texts[h]};" for h in heads)
     lines.append("}")
     return "\n".join(lines) + "\n"
 

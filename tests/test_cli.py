@@ -1,5 +1,6 @@
 """Command line behaviour: outputs, exit codes, pipes."""
 
+import argparse
 import io
 import json
 import subprocess
@@ -387,6 +388,47 @@ class TestFileErrors:
             code, out, err = run([*argv, "--output", str(target)], capsys=capsys)
             assert (code, out) == (EXIT_BAD_INPUT, "")
             assert err.startswith(f"error: cannot write {target}: ")
+
+
+class TestParserReuse:
+    """main() parses every call with one parser; no call may leave state in it."""
+
+    def test_calls_in_sequence(self, capsys, tmp_path):
+        code, dot, _ = run(
+            ["gen", "fib", "--max-level", "3", "--format", "dot"], capsys=capsys
+        )
+        assert code == EXIT_OK and dot.startswith("digraph {")
+        path = tmp_path / "graph.txt"
+        path.write_text("1,0 -> 2,1\n")
+        # the gen call's --format dot must not stick: export defaults to JSON
+        code, out, _ = run(["export", "--input", str(path)], capsys=capsys)
+        assert code == EXIT_OK
+        assert json.loads(out) == {
+            "vertices": [[1, 0], [2, 1]],
+            "arcs": [[[1, 0], [2, 1]]],
+        }
+        with pytest.raises(SystemExit) as exc:
+            main(["realize", "--max-level", "x"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, err = run(["check", "--seq", "fib", "--max-level", "4"], capsys=capsys)
+        assert (code, err) == (EXIT_OK, "")
+        assert out == "acyclic: PASS\nregular: PASS\nadmissible: PASS\n"
+
+    def test_help_texts(self, capsys):
+        fresh = cli.build_parser()
+        (subparsers,) = [
+            a for a in fresh._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        for argv, expected in (
+            (["--help"], fresh.format_help()),
+            (["gen", "--help"], subparsers.choices["gen"].format_help()),
+            (["--help"], fresh.format_help()),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert capsys.readouterr().out == expected
 
 
 def test_module_entry_point_smoke():

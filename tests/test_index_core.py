@@ -43,6 +43,8 @@ from cobwebs.serialization import (
     FormatError,
     graph_from_edgelist,
     graph_from_json,
+    graph_to_dot,
+    graph_to_edgelist,
     graph_to_json,
     parse_vertex,
 )
@@ -115,7 +117,7 @@ def reference_json_vertex(item) -> Vertex:
     if (
         not isinstance(item, list)
         or len(item) != 2
-        or not all(isinstance(x, int) for x in item)
+        or not all(type(x) is int for x in item)
     ):
         raise FormatError(f"expected a vertex as [position, level], got {item!r}")
     try:
@@ -178,6 +180,42 @@ def reference_to_json(g: Digraph) -> str:
         [inline([[t.position, t.level], [h.position, h.level]]) for t, h in g.arcs],
     )
     return "{\n  " + vertices + ",\n  " + arcs + "\n}\n"
+
+
+def reference_sorted_arcs(g: Digraph) -> tuple[list[int], list[tuple[int, int]]]:
+    """Vertex indices by level then position, and the index arcs sorted by them."""
+    vs = g.vertices
+    order = sorted(range(len(vs)), key=lambda i: (vs[i].level, vs[i].position))
+    rank = {i: k for k, i in enumerate(order)}
+    n = len(order)
+    arcs = [(g.index(t), g.index(h)) for t, h in g.arcs]
+    return order, sorted(arcs, key=lambda a: rank[a[0]] * n + rank[a[1]])
+
+
+def reference_to_edgelist(g: Digraph) -> str:
+    texts = [str(u) for u in g.vertices]
+    order, arcs = reference_sorted_arcs(g)
+    touched = {i for arc in arcs for i in arc}
+    lines = [f"{texts[t]} -> {texts[h]}" for t, h in arcs]
+    lines.extend(texts[i] for i in order if i not in touched)
+    if not lines:
+        return ""
+    return "\n".join(lines) + "\n"
+
+
+def reference_to_dot(g: Digraph) -> str:
+    texts = [f'"{u}"' for u in g.vertices]
+    order, arcs = reference_sorted_arcs(g)
+    by_level: dict[int, list[str]] = {}
+    for i in order:
+        by_level.setdefault(g.vertices[i].level, []).append(texts[i])
+    lines = ["digraph {", "  rankdir=BT;"]
+    for row_texts in by_level.values():
+        lines.append(f"  {{ rank=same; {'; '.join(row_texts)}; }}")
+    for t, h in arcs:
+        lines.append(f"  {texts[t]} -> {texts[h]};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
 
 
 def outcome(fn, *args):
@@ -381,6 +419,37 @@ def json_text(g: Digraph, rng: random.Random) -> str:
     return json.dumps({"vertices": vertices, "arcs": arcs})
 
 
+BAD_ENDPOINTS = {
+    "unknown": [99, 0],
+    "zero": [0, 0],
+    "bool": [True, 0],
+    "float": [1.0, 0],
+    "triple": [1, 0, 0],
+    "text": "1,0",
+}
+JSON_FAULTS = [*BAD_ENDPOINTS, "loop", "short_arc", "bad_vertex", "duplicate_vertex"]
+
+
+def plant(payload: dict, fault: str, rng: random.Random) -> None:
+    """Insert one JSON_FAULTS fault at a random arc or vertex position."""
+    vertices, arcs = payload["vertices"], payload["arcs"]
+    known = rng.choice(vertices) if vertices else [1, 0]
+    if fault == "duplicate_vertex":
+        vertices.insert(rng.randrange(len(vertices) + 1), known)
+    elif fault == "bad_vertex":
+        bad = BAD_ENDPOINTS[rng.choice(["zero", "bool", "float", "triple", "text"])]
+        vertices.insert(rng.randrange(len(vertices) + 1), bad)
+    else:
+        if fault == "loop":
+            arc = [known, known]
+        elif fault == "short_arc":
+            arc = [known]
+        else:  # one endpoint, tail or head, replaced
+            arc = [known, rng.choice(vertices) if vertices else known]
+            arc[rng.randrange(2)] = BAD_ENDPOINTS[fault]
+        arcs.insert(rng.randrange(len(arcs) + 1), arc)
+
+
 class TestParserParity:
     @settings(max_examples=100, deadline=None)
     @given(shuffled_dags())
@@ -395,6 +464,21 @@ class TestParserParity:
             assert got.arcs == expected.arcs
             for u in got.vertices:
                 assert got.successors(u) == expected.successors(u)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shuffled_dags(),
+        st.lists(st.sampled_from(JSON_FAULTS), min_size=1, max_size=2),
+    )
+    def test_json_fault_order(self, case, faults):
+        # well-formed arcs take the reader's inline path, faulty ones
+        # the checked path; the first fault by the old order still wins
+        g, rng = case
+        payload = json.loads(json_text(g, rng))
+        for fault in faults:
+            plant(payload, fault, rng)
+        text = json.dumps(payload)
+        assert outcome(graph_from_json, text) == outcome(reference_from_json, text)
 
     def test_duplicate_arcs_are_dropped(self):
         text = "1,0 -> 2,0\n1,0 -> 2,0\n2,0 -> 3,0\n"
@@ -430,6 +514,12 @@ class TestParserParity:
             {"vertices": [[1, 0], [1, 0]], "arcs": [[[1, 0], [5, 0]]]},
             {"vertices": [[1, 0]], "arcs": [[[1, 0], [1, 0]], [[1, 0], [5, 0]]]},
             {"vertices": [[1, 0]], "arcs": [[[1, 0], [5, 0]], [[1, 0], [1, 0]]]},
+            {"vertices": [[1, 0]], "arcs": [[[1, 0], [5, 0]], [[1, 0], [0, 0]]]},
+            {
+                "vertices": [[1, 0], [2, 0]],
+                "arcs": [[[2, 0], [2, 0]], [[1, 0], [True, 0]]],
+            },
+            {"vertices": [[1, 0], [2, 0], [1, 0]], "arcs": [[[2, 0], [2, 0]]]},
         ],
     )
     def test_json_error_messages(self, payload):
@@ -461,12 +551,26 @@ class TestParserParity:
             "1,0 -> 2,0,3\n",
             "1,0 -> 2,0\n1,-1\n",
             "3\n",
+            "1,0 -> 2,0 -> 3,0\n",
+            " -> 1,0\n",
+            "1,0 ->\n",
+            "1,0 -> 2,0\r\n2,0 -> x\r\n",
+            "1,0 # -> 2,0\n2,0 # -> 3,0\n2, 0 -> 2,0\n",
+            "1, 0 -> 01,0\n",
         ],
     )
     def test_edgelist_error_messages(self, text):
         got = outcome(graph_from_edgelist, text)
         assert got == outcome(reference_from_edgelist, text)
         assert got[0] is FormatError
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1,0 # -> 2,0\n", "1,0 -> 2,0\r\n2,0 -> 3,1\r\n\r\n4,1\r\n"],
+    )
+    def test_edgelist_lines_as_the_reference(self, text):
+        got, expected = graph_from_edgelist(text), reference_from_edgelist(text)
+        assert (got.vertices, got.arcs) == (expected.vertices, expected.arcs)
 
     @pytest.mark.parametrize("bad", ["2", "2,3,4", "a,1", "0,1", "1,-1", ""])
     def test_parse_vertex_messages(self, bad):
@@ -477,6 +581,23 @@ class TestParserParity:
     def test_json_emitter_is_byte_equal(self, case):
         g, _ = case
         assert graph_to_json(g) == reference_to_json(g)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shuffled_dags(), st.integers(0, 3))
+    def test_edgelist_and_dot_emitters_are_byte_equal(self, case, isolated):
+        # vertices spread over three levels, isolated ones added and
+        # duplicate arcs given, in a shuffled vertex order
+        g, rng = case
+        level = {u: Vertex(u.position, rng.randrange(3)) for u in g.vertices}
+        n = len(g)
+        vertices = list(level.values())
+        vertices += [Vertex(n + 1 + k, rng.randrange(3)) for k in range(isolated)]
+        rng.shuffle(vertices)
+        arcs = [(level[t], level[h]) for t, h in g.arcs]
+        arcs += rng.sample(arcs, min(len(arcs), 2))
+        h = Digraph(vertices, arcs)
+        assert graph_to_edgelist(h) == reference_to_edgelist(h)
+        assert graph_to_dot(h) == reference_to_dot(h)
 
     def test_json_emitter_on_a_cobweb(self):
         g = fib_cobweb(7).hasse
