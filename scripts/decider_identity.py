@@ -22,6 +22,8 @@ tree.  For each input it compares the text of:
   of its ConjugateCycleError;
 - the arcs of ``transitive_reduction``;
 - the dimension <= 2 answer, ``decide_orderable(transitive_reduction(g))``;
+- the ``check`` and ``dim`` views, ``_check_graph`` (regularity and
+  admissibility, with witnesses) and ``_dimension_up_to_2``;
 - ``graph_to_json``, ``graph_to_edgelist`` and ``graph_to_dot``.
 
 Run with the same tree twice (``. .``) it checks that no result depends
@@ -49,6 +51,8 @@ FIELDS = (
     "conjugate",
     "reduction",
     "dim2",
+    "check",
+    "dim",
     "json",
     "edgelist",
     "dot",
@@ -142,6 +146,7 @@ def dump() -> None:
         topological_order,
         transitive_reduction,
     )
+    from cobwebs.realizers import _check_graph, _dimension_up_to_2
     from cobwebs.serialization import (
         graph_to_dot,
         graph_to_edgelist,
@@ -171,6 +176,8 @@ def dump() -> None:
             conjugate(x, g),
             repr(reduced.arcs),
             verdict_to_json(decide_orderable(reduced)),
+            repr(_check_graph(g)),
+            repr(_dimension_up_to_2(g)),
             graph_to_json(g),
             graph_to_edgelist(g),
             graph_to_dot(g),

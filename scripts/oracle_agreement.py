@@ -15,6 +15,10 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from pathlib import Path
+
+# this tree's package, whether or not some other copy is installed
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cobwebs import (
     Digraph,

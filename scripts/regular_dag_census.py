@@ -11,7 +11,12 @@ tabulates the orderability verdicts per vertex count.
 from __future__ import annotations
 
 import argparse
+import sys
 from itertools import combinations
+from pathlib import Path
+
+# this tree's package, whether or not some other copy is installed
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cobwebs import Digraph, Orderable, Vertex, decide_orderable, is_regular
 

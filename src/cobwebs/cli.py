@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -66,6 +67,7 @@ def _read_text(path: str) -> str:
 def _write_text(text: str, path: str | None) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
+        sys.stdout.flush()  # a failure here comes before any report on stderr
         return
     try:
         Path(path).write_text(text)
@@ -217,7 +219,16 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        finally:
+            sys.stdout.flush()
+    except OSError as err:  # only standard output is written unguarded
+        message, code = f"cannot write -: {err}", EXIT_BAD_INPUT
+        # the flush at exit would fail again on what is still buffered
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     except CyclicInputError:
         message, code = "input digraph contains a directed cycle", EXIT_BAD_INPUT
     except SequenceError as err:

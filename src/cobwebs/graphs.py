@@ -335,33 +335,43 @@ def topological_order(g: Digraph) -> tuple[Vertex, ...]:
 
 def _position_reach(
     succ: list[list[int]], order: Sequence[int], pos_of: Sequence[int]
-) -> list[int]:
-    """Reach masks over positions along a chain, from one reverse pass over the arcs.
+) -> tuple[list[int], list[int]]:
+    """Reach and redundant-head masks along a chain, from one reverse pass.
 
     ``order`` is a topological order of the vertex indices and
-    ``pos_of[i]`` is the chain position of vertex i.  Entry p has bit q
-    set when the vertex at position q is reachable, via at least one
-    arc, from the vertex at position p.  With ``pos_of`` the identity,
-    positions are vertex indices.
+    ``pos_of[i]`` the chain position of vertex i.  Bit q of ``reach[p]``
+    is set when position q is reachable, via >= 1 arc, from position p.
+    ``red[p]`` is the union of the reach of p's heads, so an arc p -> q
+    is redundant (implied by a longer path) exactly when bit q is set
+    there.  With ``pos_of`` the identity, positions are vertex indices.
     """
     reach = [0] * len(order)
+    red = [0] * len(order)
     for i in reversed(order):
-        acc = 0
+        acc = heads = 0
         for j in succ[i]:
             q = pos_of[j]
-            acc |= reach[q] | (1 << q)
-        reach[pos_of[i]] = acc
-    return reach
+            acc |= reach[q]
+            heads |= 1 << q
+        p = pos_of[i]
+        red[p] = acc
+        reach[p] = acc | heads
+    return reach, red
 
 
-def _along(g: Digraph, order: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Positions and reach masks along ``order``, a topological order of g."""
-    pos_of = _inverse(order)
-    return pos_of, _position_reach(g._succ, order, pos_of)
+def _along(g: Digraph) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Kahn's order of g, its inverse, and the reach and redundant-head masks along it.
+
+    The one analysis behind every decider entry point: one Kahn pass
+    (CyclicInputError for cyclic g) and one reverse pass over the arcs.
+    """
+    first = _acyclic_order(g)
+    pos_of = _inverse(first)
+    return (first, pos_of, *_position_reach(g._succ, first, pos_of))
 
 
-def _reach_bits(g: Digraph) -> list[int]:
-    """reach[i] = bitmask of vertex indices reachable from i via >= 1 arc."""
+def _reach_bits(g: Digraph) -> tuple[list[int], list[int]]:
+    """Reach and redundant-head masks over vertex indices, as _position_reach's."""
     return _position_reach(g._succ, _acyclic_order(g), range(len(g)))
 
 
@@ -371,7 +381,7 @@ def reachability(g: Digraph) -> Relation:
     The result is irreflexive because g is required to be acyclic
     (CyclicInputError otherwise).
     """
-    reach = _reach_bits(g)
+    reach = _reach_bits(g)[0]
     vs = g.vertices
     pairs = frozenset(
         (vs[i], vs[j]) for i in range(len(vs)) for j in _iter_bits(reach[i])
@@ -379,30 +389,15 @@ def reachability(g: Digraph) -> Relation:
     return Relation(vs, pairs)
 
 
-def _redundant_head_bits(
-    g: Digraph, pos_of: Sequence[int], reach: list[int]
-) -> list[int]:
-    """red[p] = positions q such that an arc from p to q is implied by a longer path.
+def _regularity(
+    g: Digraph, pos_of: Sequence[int], reach: list[int], red: list[int]
+) -> CheckResult:
+    """is_regular from the reach and redundant-head masks of one chain's pass.
 
-    Positions and ``reach`` are along one chain, as for _position_reach.
+    No arc out of a vertex is redundant exactly when its heads miss its
+    ``red`` mask, i.e. when the counts add up; only otherwise are the
+    arcs scanned for the first redundant one.
     """
-    red = [0] * len(g)
-    for i, heads in enumerate(g._succ):
-        acc = 0
-        for j in heads:
-            acc |= reach[pos_of[j]]
-        red[pos_of[i]] = acc
-    return red
-
-
-def _regularity(g: Digraph, pos_of: Sequence[int], reach: list[int]) -> CheckResult:
-    """is_regular from reach masks already taken along some chain.
-
-    A vertex's reach is the union of its heads and the positions its
-    heads reach, so no arc out of it is redundant exactly when the two
-    parts are disjoint, i.e. when the counts add up.
-    """
-    red = _redundant_head_bits(g, pos_of, reach)
     if all(
         reach[p].bit_count() - red[p].bit_count() == len(heads)
         for p, heads in zip(pos_of, g._succ)
@@ -418,9 +413,9 @@ def transitive_reduction(g: Digraph) -> Digraph:
     """The unique minimal subgraph of g with the same reachability.
 
     Uniqueness holds because g is acyclic; an arc is dropped exactly
-    when some longer path joins its endpoints.
+    when its head is in its tail's redundant-head mask (_position_reach).
     """
-    red = _redundant_head_bits(g, range(len(g)), _reach_bits(g))
+    red = _reach_bits(g)[1]
     kept = [(t, h) for t, h in g._arc_index if not red[t] >> h & 1]
     return Digraph._from_index_arcs(g.vertices, kept)
 
@@ -428,10 +423,11 @@ def transitive_reduction(g: Digraph) -> Digraph:
 def is_regular(g: Digraph) -> CheckResult:
     """Whether g equals its own transitive reduction.
 
-    On failure the witness is the first redundant arc in insertion
-    order, i.e. an arc whose endpoints are also joined by a longer path.
+    Reads the redundant-head masks of reachability's reverse pass.  On
+    failure the witness is the first redundant arc in insertion order,
+    i.e. an arc whose endpoints are also joined by a longer path.
     """
-    return _regularity(g, range(len(g)), _reach_bits(g))
+    return _regularity(g, range(len(g)), *_reach_bits(g))
 
 
 def _chain_positions(c: Chain, g: Digraph) -> list[int]:
@@ -488,7 +484,8 @@ def is_admissible(c: Chain, g: Digraph) -> CheckResult:
     vertex set as c; c itself does not have to be a linear extension.
     """
     pos_of = _chain_positions(c, g)
-    hit = _admissibility_witness(_position_reach(g._succ, _acyclic_order(g), pos_of))
+    reach, _ = _position_reach(g._succ, _acyclic_order(g), pos_of)
+    hit = _admissibility_witness(reach)
     if hit is None:
         return CheckResult(True)
     return CheckResult(False, tuple(c.order[p] for p in hit))

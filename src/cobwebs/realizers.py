@@ -29,7 +29,6 @@ from .graphs import (
     NotLinearExtensionError,
     Vertex,
     VertexSetMismatchError,
-    _acyclic_order,
     _admissibility_witness,
     _along,
     _chain_positions,
@@ -176,7 +175,7 @@ def verify_realizer(r: Realizer) -> CheckResult:
     if r.second._rank.keys() != index.keys():
         raise VertexSetMismatchError("chains cover different vertex sets")
     diff = _mismatch_masks(
-        _reach_bits(g),
+        _reach_bits(g)[0],
         [index[v] for v in r.first.order],
         [index[v] for v in r.second.order],
     )
@@ -237,7 +236,7 @@ def conjugate_chain(x: Chain, g: Digraph) -> Chain:
     if not all(pos_of[t] < pos_of[h] for t, h in g._arc_index):
         raise NotLinearExtensionError("chain is not a linear extension of the digraph")
     order = _inverse(pos_of)
-    reach = _position_reach(g._succ, order, pos_of)
+    reach, _ = _position_reach(g._succ, order, pos_of)
     above = _above_masks(g._succ, order, pos_of)
     score = _conjugate_scores(reach, above)
     ranked = _ranked(score)
@@ -369,17 +368,17 @@ def _realizer_positions(
 def _check_graph(g: Digraph) -> tuple[CheckResult, CheckResult]:
     """Regularity of g, and whether it has an admissible linear extension.
 
-    One Kahn pass and one reach pass serve both.  When no admissible
+    Both read one analysis, _along: regularity its redundant-head
+    masks, the extension search its reach masks.  When no admissible
     extension exists the witness is the first forbidden triple of
     Kahn's order.  Raises CyclicInputError for cyclic g.
     """
-    first = _acyclic_order(g)
-    pos_of, reach = _along(g, first)
+    first, pos_of, reach, red = _along(g)
     admissible = CheckResult(True)
     if _realizer_positions(g._succ, first, pos_of, reach) is None:
         hit = _admissibility_witness(reach)
         admissible = CheckResult(False, tuple(g.vertices[first[p]] for p in hit))
-    return _regularity(g, pos_of, reach), admissible
+    return _regularity(g, pos_of, reach, red), admissible
 
 
 def _dimension_up_to_2(g: Digraph) -> int | None:
@@ -389,8 +388,8 @@ def _dimension_up_to_2(g: Digraph) -> int | None:
     two chains coincide.  g need not be regular; raises
     CyclicInputError for cyclic g.
     """
-    first = _acyclic_order(g)
-    chains = _realizer_positions(g._succ, first, *_along(g, first))
+    first, pos_of, reach, _ = _along(g)
+    chains = _realizer_positions(g._succ, first, pos_of, reach)
     if chains is None:
         return None
     return 1 if chains[0] == chains[1] else 2
@@ -399,21 +398,18 @@ def _dimension_up_to_2(g: Digraph) -> int | None:
 def decide_orderable(g: Digraph) -> OrderabilityVerdict:
     """Decide whether g is the Hasse diagram of an order of dimension <= 2.
 
-    Regularity is checked first.  Then the realizer is sought: P ∪ T
-    and P ∪ T⁻¹ for a transitive orientation T of the incomparability
-    graph, Kahn's order (the lexicographically first topological order)
-    being the first P ∪ T tried.  The realizer is verified before it is
-    returned.  When T does not exist
-    the verdict is NoAdmissibleChain; every verdict is conclusive.
-
-    One Kahn pass and one reach pass along its order serve acyclicity,
-    regularity, both chains and the verification.
+    Regularity is checked first, and an irregular g gets no realizer
+    search.  Then the realizer is sought: P ∪ T and P ∪ T⁻¹ for a
+    transitive orientation T of the incomparability graph, Kahn's order
+    (the lexicographically first topological order) being the first
+    P ∪ T tried.  The realizer is verified before it is returned.  When
+    T does not exist the verdict is NoAdmissibleChain; every verdict is
+    conclusive.  All of it reads one analysis, _along.
 
     Raises CyclicInputError for cyclic input.
     """
-    first = _acyclic_order(g)
-    pos_of, reach = _along(g, first)
-    regular = _regularity(g, pos_of, reach)
+    first, pos_of, reach, red = _along(g)
+    regular = _regularity(g, pos_of, reach, red)
     if not regular:
         return NotRegular(regular.witness)
     chains = _realizer_positions(g._succ, first, pos_of, reach)

@@ -3,6 +3,7 @@
 import argparse
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -388,6 +389,40 @@ class TestFileErrors:
             code, out, err = run([*argv, "--output", str(target)], capsys=capsys)
             assert (code, out) == (EXIT_BAD_INPUT, "")
             assert err.startswith(f"error: cannot write {target}: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+class TestFullStdout:
+    """A failed write to standard output is an unwritable file: exit 2, one line."""
+
+    @pytest.mark.parametrize(
+        "unbuffered", [True, False], ids=["unbuffered", "buffered"]
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["realize", "--seq", "fib", "--max-level", "12"],
+            ["realize", "--seq", "fib", "--max-level", "3"],
+            ["check", "--seq", "fib", "--max-level", "3"],
+            ["dim", "--seq", "fib", "--max-level", "3"],
+        ],
+        ids=["realize_large", "realize_small", "check", "dim"],
+    )
+    def test_exits_2_with_one_stderr_line(self, argv, unbuffered):
+        env = {k: val for k, val in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "cobwebs", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
+        assert proc.stderr.startswith("error: cannot write -: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 class TestParserReuse:

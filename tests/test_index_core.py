@@ -5,7 +5,8 @@ and bitmasks.  Each is checked here against a reference written the
 slow way: realizers against the intersection of the two chains versus
 the reflexive reachability pairs, conjugates against a greedy peel of
 unbeaten vertices, the cycle search against the original stack-based
-search, parsers against Vertex-per-endpoint parsing into the
+search, redundant arcs against BFS reachability, the check and dim
+views against the decider, parsers against Vertex-per-endpoint parsing into the
 public Digraph constructor.  Deep inputs check that nothing recurses
 once per vertex.
 """
@@ -25,6 +26,7 @@ from cobwebs import (
     ConstantSequence,
     Digraph,
     NotLinearExtensionError,
+    NotRegular,
     Orderable,
     Realizer,
     Vertex,
@@ -34,11 +36,14 @@ from cobwebs import (
     decide_orderable,
     intersect_chains,
     is_linear_extension,
+    is_regular,
     iter_topological_orders,
     reachability,
+    transitive_reduction,
     verify_realizer,
 )
-from cobwebs.realizers import _tournament_cycle
+from cobwebs import realizers
+from cobwebs.realizers import _check_graph, _dimension_up_to_2, _tournament_cycle
 from cobwebs.serialization import (
     FormatError,
     graph_from_edgelist,
@@ -49,7 +54,7 @@ from cobwebs.serialization import (
     parse_vertex,
 )
 
-from helpers import fib_cobweb, reference_tournament_cycle, row, v
+from helpers import bfs_pairs, fib_cobweb, reference_tournament_cycle, row, v
 
 
 # ------------------------------------------------------------ references
@@ -216,6 +221,16 @@ def reference_to_dot(g: Digraph) -> str:
         lines.append(f"  {texts[t]} -> {texts[h]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def reference_redundant_arcs(g: Digraph) -> list[tuple[Vertex, Vertex]]:
+    """Arcs (u, w), in insertion order, such that another head of u reaches w."""
+    pairs = bfs_pairs(g)
+    return [
+        (u, w)
+        for u, w in g.arcs
+        if any(x != w and (x, w) in pairs for x in g.successors(u))
+    ]
 
 
 def outcome(fn, *args):
@@ -397,6 +412,44 @@ class TestTournamentCycleMatchesReference:
                 reference_tournament_cycle(beats, remaining, x)
             ), (beats, remaining)
             checked += 1
+
+
+class TestRedundantArcsMatchBfs:
+    @settings(max_examples=200, deadline=None)
+    @given(shuffled_dags())
+    def test_reduction_and_regularity_witness(self, case):
+        g, _ = case
+        redundant = reference_redundant_arcs(g)
+        kept = tuple(arc for arc in g.arcs if arc not in redundant)
+        assert transitive_reduction(g).arcs == kept
+        result = is_regular(g)
+        if redundant:
+            assert (result.ok, result.witness) == (False, redundant[0])
+        else:
+            assert (result.ok, result.witness) == (True, None)
+
+
+class TestDeciderViews:
+    """check and dim read the decider's analysis; regularity comes first."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(shuffled_dags())
+    def test_check_and_dim_agree_with_the_decider(self, case):
+        g, _ = case
+        regular, admissible = _check_graph(g)
+        assert regular == is_regular(g)
+        orderable = isinstance(decide_orderable(transitive_reduction(g)), Orderable)
+        assert admissible.ok == orderable
+        assert orderable == (_dimension_up_to_2(g) in (1, 2))
+
+    def test_irregular_graph_skips_the_realizer_step(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("realizer step reached")
+
+        monkeypatch.setattr(realizers, "_realizer_positions", refuse)
+        vs = row(3)
+        g = Digraph(vs, [(vs[0], vs[2]), (vs[0], vs[1]), (vs[1], vs[2])])
+        assert decide_orderable(g) == NotRegular((vs[0], vs[2]))
 
 
 # ----------------------------------------------------------------- parsers
