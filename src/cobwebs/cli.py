@@ -164,8 +164,18 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Writes help text unguarded, since argparse drops the OSError of a failed write.
+
+    Subparsers are built from this class too.
+    """
+
+    def print_help(self, file=None) -> None:
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cobwebs",
         description="Cobweb posets, orderable DAGs and two-chain realizers.",
     )
@@ -217,9 +227,9 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
     try:
         try:
+            args = _parser().parse_args(argv)
             return args.func(args)
         finally:
             sys.stdout.flush()

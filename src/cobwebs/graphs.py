@@ -59,6 +59,8 @@ class Vertex:
     level: int
 
     def __post_init__(self) -> None:
+        if type(self.position) is not int or type(self.level) is not int:
+            raise TypeError(f"vertex coordinates must be int, got {self!r}")
         if self.position < 1:
             raise ValueError(f"vertex position must be >= 1, got {self.position}")
         if self.level < 0:

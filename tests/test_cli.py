@@ -405,8 +405,10 @@ class TestFullStdout:
             ["realize", "--seq", "fib", "--max-level", "3"],
             ["check", "--seq", "fib", "--max-level", "3"],
             ["dim", "--seq", "fib", "--max-level", "3"],
+            ["--help"],
+            ["gen", "--help"],
         ],
-        ids=["realize_large", "realize_small", "check", "dim"],
+        ids=["realize_large", "realize_small", "check", "dim", "help", "gen_help"],
     )
     def test_exits_2_with_one_stderr_line(self, argv, unbuffered):
         env = {k: val for k, val in os.environ.items() if k != "PYTHONUNBUFFERED"}

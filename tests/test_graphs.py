@@ -46,6 +46,16 @@ class TestVertex:
         with pytest.raises(ValueError):
             Vertex(1, -1)
 
+    @pytest.mark.parametrize(
+        "position, level",
+        [(True, 0), (2.0, 1), (1, False), (1, 0.0)],
+        ids=["bool_position", "float_position", "bool_level", "float_level"],
+    )
+    def test_rejects_non_int_coordinates(self, position, level):
+        # the writers would emit them as True or 2.0, which no reader accepts
+        with pytest.raises(TypeError, match="must be int"):
+            Vertex(position, level)
+
     def test_equality_and_str(self):
         assert Vertex(2, 3) == Vertex(2, 3)
         assert Vertex(2, 3) != Vertex(3, 2)

@@ -1,5 +1,6 @@
-"""The scripts import this tree's package from a plain checkout."""
+"""The scripts run from a plain checkout, and the harness keeps its coverage."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -32,3 +33,26 @@ def test_runs_without_pythonpath(script, args, expected, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert expected in proc.stdout
+
+
+def test_identity_coverage(tmp_path):
+    """The equivalence harness keeps its corpus, command lines and fields."""
+    spec = importlib.util.spec_from_file_location("identity", SCRIPTS / "identity.py")
+    identity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(identity)
+    assert sum(1 for _ in identity.corpus()) == 39_881
+    identity.write_inputs(tmp_path)
+    assert len(identity.command_lines(tmp_path)) == 841
+    assert identity.FIELDS == (
+        "verdict",
+        "regular",
+        "admissible",
+        "conjugate",
+        "reduction",
+        "dim2",
+        "check",
+        "dim",
+        "json",
+        "edgelist",
+        "dot",
+    )
