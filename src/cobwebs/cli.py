@@ -8,7 +8,9 @@ conversion).
 
 Exit codes: 0 success, 1 check failed, 2 malformed input, an
 unreadable or unwritable file or a cyclic graph, 3 invalid sequence
-values, and for realize: 4 not regular, 5 no admissible chain.
+values, and for realize: 4 not regular, 5 no admissible chain.  Any
+other exception is an internal error: its traceback goes to stderr and
+the exit code is 6.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import argparse
 import functools
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from .cobweb import SequenceError, SequenceSpecError, build_cobweb, parse_sequence_spec
@@ -51,6 +54,7 @@ EXIT_BAD_INPUT = 2
 EXIT_BAD_SEQUENCE = 3
 EXIT_NOT_REGULAR = 4
 EXIT_NO_ADMISSIBLE = 5
+EXIT_INTERNAL_ERROR = 6
 
 
 class _CliError(Exception):
@@ -245,6 +249,9 @@ def main(argv: list[str] | None = None) -> int:
         message, code = str(err), EXIT_BAD_SEQUENCE
     except (_CliError, FormatError, SequenceSpecError, TooLargeError) as err:
         message, code = str(err), EXIT_BAD_INPUT
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
     print(f"error: {message}", file=sys.stderr)
     return code
 

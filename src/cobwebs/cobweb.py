@@ -9,6 +9,7 @@ complete bipartite digraph between each pair of consecutive levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, product
 
 from .graphs import Digraph, Relation, Vertex
 
@@ -170,12 +171,10 @@ class CobwebPoset:
         starts = [0]
         for level in levels:
             starts.append(starts[-1] + len(level))
-        arcs = [
-            (u, w)
-            for s in range(max_level)
-            for u in range(starts[s], starts[s + 1])
-            for w in range(starts[s + 1], starts[s + 2])
-        ]
+        # every vertex of one level to every vertex of the next, streamed;
+        # the arc tuples share the int objects of these index blocks
+        blocks = [tuple(range(a, b)) for a, b in zip(starts, starts[1:])]
+        arcs = chain.from_iterable(map(product, blocks, blocks[1:]))
         self.sequence = sequence
         self.max_level = max_level
         self.levels = levels

@@ -343,9 +343,9 @@ def _position_reach(
     ``order`` is a topological order of the vertex indices and
     ``pos_of[i]`` the chain position of vertex i.  Bit q of ``reach[p]``
     is set when position q is reachable, via >= 1 arc, from position p.
-    ``red[p]`` is the union of the reach of p's heads, so an arc p -> q
-    is redundant (implied by a longer path) exactly when bit q is set
-    there.  With ``pos_of`` the identity, positions are vertex indices.
+    ``red[p]`` holds p's redundant heads: the heads q of arcs p -> q
+    that a longer path implies, because another head reaches q.  With
+    ``pos_of`` the identity, positions are vertex indices.
     """
     reach = [0] * len(order)
     red = [0] * len(order)
@@ -356,7 +356,7 @@ def _position_reach(
             acc |= reach[q]
             heads |= 1 << q
         p = pos_of[i]
-        red[p] = acc
+        red[p] = acc & heads
         reach[p] = acc | heads
     return reach, red
 
@@ -391,23 +391,16 @@ def reachability(g: Digraph) -> Relation:
     return Relation(vs, pairs)
 
 
-def _regularity(
-    g: Digraph, pos_of: Sequence[int], reach: list[int], red: list[int]
-) -> CheckResult:
-    """is_regular from the reach and redundant-head masks of one chain's pass.
+def _regularity(g: Digraph, pos_of: Sequence[int], red: list[int]) -> CheckResult:
+    """is_regular from the redundant-head masks of one chain's pass.
 
-    No arc out of a vertex is redundant exactly when its heads miss its
-    ``red`` mask, i.e. when the counts add up; only otherwise are the
-    arcs scanned for the first redundant one.
+    g is regular exactly when no vertex has a redundant head; only
+    otherwise are the arcs scanned for the first redundant one.
     """
-    if all(
-        reach[p].bit_count() - red[p].bit_count() == len(heads)
-        for p, heads in zip(pos_of, g._succ)
-    ):
-        return CheckResult(True)
-    for t, h in g._arc_index:
-        if red[pos_of[t]] >> pos_of[h] & 1:
-            return CheckResult(False, (g.vertices[t], g.vertices[h]))
+    if any(red):
+        for t, h in g._arc_index:
+            if red[pos_of[t]] >> pos_of[h] & 1:
+                return CheckResult(False, (g.vertices[t], g.vertices[h]))
     return CheckResult(True)
 
 
@@ -418,7 +411,7 @@ def transitive_reduction(g: Digraph) -> Digraph:
     when its head is in its tail's redundant-head mask (_position_reach).
     """
     red = _reach_bits(g)[1]
-    kept = [(t, h) for t, h in g._arc_index if not red[t] >> h & 1]
+    kept = ((t, h) for t, h in g._arc_index if not red[t] >> h & 1)
     return Digraph._from_index_arcs(g.vertices, kept)
 
 
@@ -429,7 +422,7 @@ def is_regular(g: Digraph) -> CheckResult:
     failure the witness is the first redundant arc in insertion order,
     i.e. an arc whose endpoints are also joined by a longer path.
     """
-    return _regularity(g, range(len(g)), *_reach_bits(g))
+    return _regularity(g, range(len(g)), _reach_bits(g)[1])
 
 
 def _chain_positions(c: Chain, g: Digraph) -> list[int]:

@@ -124,7 +124,7 @@ class FinitePoset:
 
     def strict_digraph(self) -> Digraph:
         """The strict order as a digraph, arcs in element order."""
-        arcs = [(i, j) for i, row in enumerate(self._succ) for j in _iter_bits(row)]
+        arcs = ((i, j) for i, row in enumerate(self._succ) for j in _iter_bits(row))
         return Digraph._from_index_arcs(self.elements, arcs)
 
     def __len__(self) -> int:

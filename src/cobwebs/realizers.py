@@ -58,8 +58,9 @@ __all__ = [
 class ConjugateCycleError(ValueError):
     """The conjugate candidate relation contains a directed cycle.
 
-    Carries the offending cycle as a tuple of vertices, each preceding
-    the next in the candidate relation and the last preceding the first.
+    Carries the offending cycle as a tuple of three vertices, each
+    preceding the next in the candidate relation and the last preceding
+    the first.
     """
 
     def __init__(self, cycle: tuple[Vertex, ...]) -> None:
@@ -227,55 +228,28 @@ def conjugate_chain(x: Chain, g: Digraph) -> Chain:
 
     Comparable pairs (joined by a directed path in g) keep their order
     from x; incomparable pairs are flipped.  The result is a total
-    order exactly when that candidate relation is transitive; otherwise
-    ConjugateCycleError carries a witness cycle.  x must be a linear
-    extension of g (NotLinearExtensionError otherwise, which also
-    covers cyclic g since those have no linear extensions).
+    order exactly when x is admissible (is_admissible).  Otherwise
+    ConjugateCycleError carries the 3-cycle (x1, x3, x2) of the first
+    forbidden triple (x1, x2, x3): x1 reaches x3 while x2 is parallel
+    to both, so both pairs with x2 flip.  A tournament that is not
+    transitive has a 3-cycle (Moon 1968), and along x the only possible
+    one is such a triple.  x must be a linear extension of g
+    (NotLinearExtensionError otherwise, which also covers cyclic g
+    since those have no linear extensions).
     """
     pos_of = _chain_positions(x, g)
     if not all(pos_of[t] < pos_of[h] for t, h in g._arc_index):
         raise NotLinearExtensionError("chain is not a linear extension of the digraph")
     order = _inverse(pos_of)
     reach, _ = _position_reach(g._succ, order, pos_of)
-    above = _above_masks(g._succ, order, pos_of)
-    score = _conjugate_scores(reach, above)
-    ranked = _ranked(score)
-    n = len(ranked)
-    for k, p in enumerate(ranked):
-        if score[p] != n - 1 - k:
-            # the positions ranked before k are the ones a greedy peel of
-            # unbeaten positions takes; the rest hold the cycle
-            beats = [reach[q] | (((1 << q) - 1) & ~above[q]) for q in range(n)]
-            remaining = sum(1 << q for q in ranked[k:])
-            raise ConjugateCycleError(_tournament_cycle(beats, remaining, x))
-    return Chain(x.order[p] for p in ranked)
-
-
-def _tournament_cycle(
-    beats: list[int], remaining: int, x: Chain
-) -> tuple[Vertex, ...]:
-    """Locate a directed cycle in the restriction of beats to remaining."""
-    visited = 0
-    for root in _iter_bits(remaining):
-        if visited >> root & 1:
-            continue
-        visited |= 1 << root
-        path, on_path = [root], 1 << root
-        neighbors = [_iter_bits(beats[root] & remaining)]  # unexplored, per path entry
-        while path:
-            for nb in neighbors[-1]:
-                if on_path >> nb & 1:
-                    return tuple(x.order[p] for p in path[path.index(nb) :])
-                if not visited >> nb & 1:
-                    visited |= 1 << nb
-                    on_path |= 1 << nb
-                    path.append(nb)
-                    neighbors.append(_iter_bits(beats[nb] & remaining))
-                    break
-            else:
-                on_path &= ~(1 << path.pop())
-                neighbors.pop()
-    raise AssertionError("no cycle found in a sourceless tournament")
+    score = _conjugate_scores(reach, _above_masks(g._succ, order, pos_of))
+    if len(set(score)) != len(score):
+        hit = _admissibility_witness(reach)
+        if hit is None:
+            raise AssertionError("no forbidden triple behind a cyclic conjugate")
+        x1, x2, x3 = (x.order[p] for p in hit)
+        raise ConjugateCycleError((x1, x3, x2))
+    return Chain(x.order[p] for p in _ranked(score))
 
 
 def _orient_incomparability(reach: list[int], above: list[int]) -> list[int] | None:
@@ -378,7 +352,7 @@ def _check_graph(g: Digraph) -> tuple[CheckResult, CheckResult]:
     if _realizer_positions(g._succ, first, pos_of, reach) is None:
         hit = _admissibility_witness(reach)
         admissible = CheckResult(False, tuple(g.vertices[first[p]] for p in hit))
-    return _regularity(g, pos_of, reach, red), admissible
+    return _regularity(g, pos_of, red), admissible
 
 
 def _dimension_up_to_2(g: Digraph) -> int | None:
@@ -409,7 +383,7 @@ def decide_orderable(g: Digraph) -> OrderabilityVerdict:
     Raises CyclicInputError for cyclic input.
     """
     first, pos_of, reach, red = _along(g)
-    regular = _regularity(g, pos_of, reach, red)
+    regular = _regularity(g, pos_of, red)
     if not regular:
         return NotRegular(regular.witness)
     chains = _realizer_positions(g._succ, first, pos_of, reach)

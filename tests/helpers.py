@@ -129,44 +129,6 @@ def random_regular_dag(rng: random.Random, n: int) -> Digraph:
     return transitive_reduction(Digraph(vs, arcs))
 
 
-def reference_tournament_cycle(beats: list[int], remaining: int, x) -> tuple:
-    """A directed cycle in beats restricted to remaining, as x's vertices.
-
-    The original depth-first search over a (node, iterator) stack with
-    an on-path set; the package's search must return the same cycle.
-    """
-
-    def bits(mask: int):
-        return (i for i in range(mask.bit_length()) if mask >> i & 1)
-
-    visited: set[int] = set()
-    for root in bits(remaining):
-        if root in visited:
-            continue
-        visited.add(root)
-        stack = [(root, bits(beats[root] & remaining))]
-        path = [root]
-        on_path = {root}
-        while stack:
-            _, neighbors = stack[-1]
-            advanced = False
-            for nb in neighbors:
-                if nb in on_path:
-                    start = path.index(nb)
-                    return tuple(x.order[p] for p in path[start:])
-                if nb not in visited:
-                    visited.add(nb)
-                    stack.append((nb, bits(beats[nb] & remaining)))
-                    path.append(nb)
-                    on_path.add(nb)
-                    advanced = True
-                    break
-            if not advanced:
-                stack.pop()
-                on_path.discard(path.pop())
-    raise AssertionError("no cycle found")
-
-
 def standard_example(k: int) -> FinitePoset:
     """The standard example S_k of dimension k: a_i < b_j exactly when i != j."""
     a = row(k, 0)

@@ -13,6 +13,7 @@ from cobwebs.cli import (
     EXIT_BAD_INPUT,
     EXIT_BAD_SEQUENCE,
     EXIT_CHECK_FAILED,
+    EXIT_INTERNAL_ERROR,
     EXIT_NO_ADMISSIBLE,
     EXIT_NOT_REGULAR,
     EXIT_OK,
@@ -425,6 +426,40 @@ class TestFullStdout:
         assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
         assert proc.stderr.startswith("error: cannot write -: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+def _broken(*args):
+    raise RuntimeError("planted fault")
+
+
+class TestInternalError:
+    """An unexpected exception is not "check failed": traceback, exit 6."""
+
+    @pytest.mark.parametrize("command", ["realize", "check"])
+    def test_main_returns_6(self, command, capsys, monkeypatch):
+        monkeypatch.setattr("cobwebs.realizers._realizer_positions", _broken)
+        code, out, err = run(
+            [command, "--seq", "fib", "--max-level", "3"], capsys=capsys
+        )
+        assert code == EXIT_INTERNAL_ERROR == 6
+        assert err.startswith("Traceback (most recent call last):")
+        assert err.endswith("RuntimeError: planted fault\n")
+        assert "error: " not in err
+
+    def test_process_exits_6(self):
+        script = (
+            "import sys\n"
+            "from cobwebs import cli, realizers\n"
+            "def broken(*args):\n"
+            "    raise RuntimeError('planted fault')\n"
+            "realizers._realizer_positions = broken\n"
+            "sys.exit(cli.main(['realize', '--seq', 'fib', '--max-level', '3']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == EXIT_INTERNAL_ERROR, proc.stderr
+        assert proc.stderr.endswith("RuntimeError: planted fault\n")
 
 
 class TestParserReuse:

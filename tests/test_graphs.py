@@ -116,6 +116,22 @@ class TestDigraph:
         g = Digraph([v(1), v(2), v(3)], [(v(1), v(2))] * 3)
         assert repr(g) == "Digraph(3 vertices, 1 arcs)"
 
+    def test_contains(self):
+        g = graph_on(2, [(0, 1)])
+        assert v(1) in g
+        assert v(3) not in g
+
+    def test_index_of_an_unknown_vertex_names_it(self):
+        g = graph_on(2, [(0, 1)])
+        assert g.index(v(2)) == 1
+        with pytest.raises(KeyError, match="3,0 is not a vertex of this digraph"):
+            g.index(v(3))
+
+    def test_not_equal_to_other_types(self):
+        g = graph_on(2, [(0, 1)])
+        assert (g == 1) is False
+        assert g != 1
+
 
 class TestAcyclicity:
     def test_empty_graph(self):
@@ -170,6 +186,13 @@ class TestReachability:
         for (a, b), (c, d) in itertools.product(r.pairs, repeat=2):
             if b == c:
                 assert (a, d) in r
+
+    def test_len_and_iter(self):
+        g = graph_on(3, [(0, 1), (1, 2)])
+        r = reachability(g)
+        assert len(r) == 3
+        assert sorted(r) == [(v(1), v(2)), (v(1), v(3)), (v(2), v(3))]
+        assert len(reachability(Digraph(row(2)))) == 0
 
     def test_relation_equality_ignores_source(self):
         a = graph_on(3, [(0, 1), (1, 2)])
@@ -230,6 +253,26 @@ class TestChain:
         assert not c.precedes(v(3), v(2))
         with pytest.raises(KeyError):
             c.rank(v(9))
+
+    def test_not_equal_to_other_types(self):
+        c = Chain([v(1)])
+        assert (c == 1) is False
+        assert c != 1
+
+    def test_equal_chains_hash_equal(self):
+        a, b = Chain([v(2), v(1)]), Chain(iter([v(2), v(1)]))
+        assert a == b and a is not b
+        assert hash(a) == hash(b)
+        assert len({a, b, Chain([v(1), v(2)])}) == 2
+
+    def test_repr_truncates_after_eight_vertices(self):
+        assert repr(Chain(row(8))) == (
+            "Chain(1,0 -> 2,0 -> 3,0 -> 4,0 -> 5,0 -> 6,0 -> 7,0 -> 8,0)"
+        )
+        assert repr(Chain(row(9))) == (
+            "Chain(1,0 -> 2,0 -> 3,0 -> 4,0 -> 5,0 -> 6,0 -> 7,0 -> 8,0"
+            " -> ... (9 vertices))"
+        )
 
 
 class TestIsLinearExtension:

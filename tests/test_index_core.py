@@ -4,11 +4,11 @@ verify_realizer, conjugate_chain and the parsers work on vertex indices
 and bitmasks.  Each is checked here against a reference written the
 slow way: realizers against the intersection of the two chains versus
 the reflexive reachability pairs, conjugates against a greedy peel of
-unbeaten vertices, the cycle search against the original stack-based
-search, redundant arcs against BFS reachability, the check and dim
-views against the decider, parsers against Vertex-per-endpoint parsing into the
-public Digraph constructor.  Deep inputs check that nothing recurses
-once per vertex.
+unbeaten vertices and their cycles against a brute-force search for the
+first forbidden triple, redundant arcs against BFS reachability, the
+check and dim views against the decider, parsers against
+Vertex-per-endpoint parsing into the public Digraph constructor.  Deep
+inputs check that nothing recurses once per vertex.
 """
 
 import itertools
@@ -35,6 +35,7 @@ from cobwebs import (
     conjugate_chain,
     decide_orderable,
     intersect_chains,
+    is_admissible,
     is_linear_extension,
     is_regular,
     iter_topological_orders,
@@ -43,7 +44,7 @@ from cobwebs import (
     verify_realizer,
 )
 from cobwebs import realizers
-from cobwebs.realizers import _check_graph, _dimension_up_to_2, _tournament_cycle
+from cobwebs.realizers import _check_graph, _dimension_up_to_2
 from cobwebs.serialization import (
     FormatError,
     graph_from_edgelist,
@@ -54,7 +55,7 @@ from cobwebs.serialization import (
     parse_vertex,
 )
 
-from helpers import bfs_pairs, fib_cobweb, reference_tournament_cycle, row, v
+from helpers import bfs_pairs, fib_cobweb, row, v
 
 
 # ------------------------------------------------------------ references
@@ -76,12 +77,30 @@ def reference_verify(r: Realizer) -> CheckResult:
     return CheckResult(False, min(diff, key=lambda p: (idx(p[0]), idx(p[1]))))
 
 
+def conjugate_precedes(pairs, x: Chain, u: Vertex, w: Vertex) -> bool:
+    """Whether u precedes w in the conjugate of x: comparable pairs keep x's order."""
+    if (u, w) in pairs or (w, u) in pairs:
+        return (u, w) in pairs
+    return x.rank(w) < x.rank(u)
+
+
+def reference_cycle(x: Chain, pairs) -> tuple:
+    """The first forbidden triple (x1, x2, x3) along x, by brute force, as (x1, x3, x2)."""
+    for a, b, c in itertools.combinations(x.order, 3):
+        if (a, c) in pairs and not {(a, b), (b, a), (b, c), (c, b)} & pairs:
+            return (a, c, b)
+    raise AssertionError("no forbidden triple")
+
+
 def reference_conjugate(x: Chain, g: Digraph) -> Chain:
-    """Greedy peel: repeatedly take the position that beats all the rest."""
+    """Greedy peel: repeatedly take the position that beats all the rest.
+
+    When no position does, the conjugate has a cycle: reference_cycle.
+    """
     if not is_linear_extension(x, g):
         raise NotLinearExtensionError("chain is not a linear extension")
     n = len(x)
-    pairs = reachability(g).pairs
+    pairs = bfs_pairs(g)
     reach = [
         sum(1 << q for q in range(n) if (x[p], x[q]) in pairs) for p in range(n)
     ]
@@ -102,7 +121,7 @@ def reference_conjugate(x: Chain, g: Digraph) -> Chain:
             None,
         )
         if pick is None:
-            raise ConjugateCycleError(reference_tournament_cycle(beats, remaining, x))
+            raise ConjugateCycleError(reference_cycle(x, pairs))
         out.append(x[pick])
         remaining &= ~(1 << pick)
     return Chain(out)
@@ -373,45 +392,26 @@ class TestConjugateMatchesGreedy:
         assert got.value.cycle == expected.value.cycle == (v(3), v(5), v(4))
 
 
-def random_tournament(rng: random.Random, n: int) -> list[int]:
-    """Beats masks of a random tournament on n vertices."""
-    beats = [0] * n
-    for i, j in itertools.combinations(range(n), 2):
-        if rng.random() < 0.5:
-            beats[i] |= 1 << j
-        else:
-            beats[j] |= 1 << i
-    return beats
+class TestOneWitness:
+    """conjugate_chain fails exactly on the chains is_admissible rejects."""
 
-
-def a_triangle(beats: list[int]) -> int | None:
-    """The mask of some directed triangle, or None if the tournament is acyclic."""
-    n = len(beats)
-    for a, b, c in itertools.permutations(range(n), 3):
-        if beats[a] >> b & 1 and beats[b] >> c & 1 and beats[c] >> a & 1:
-            return 1 << a | 1 << b | 1 << c
-    return None
-
-
-class TestTournamentCycleMatchesReference:
-    @pytest.mark.parametrize("superset", [False, True], ids=["full", "superset"])
-    def test_same_cycle(self, superset):
-        rng = random.Random(20260)
-        checked = 0
-        while checked < 400:
-            n = rng.randint(3, 10)
-            beats = random_tournament(rng, n)
-            triangle = a_triangle(beats)
-            if triangle is None:
-                continue
-            remaining = (1 << n) - 1
-            if superset:
-                remaining = triangle | rng.getrandbits(n)
-            x = Chain(row(n))
-            assert _tournament_cycle(beats, remaining, x) == (
-                reference_tournament_cycle(beats, remaining, x)
-            ), (beats, remaining)
-            checked += 1
+    @settings(max_examples=300, deadline=None)
+    @given(shuffled_dags())
+    def test_cycle_is_the_rotated_forbidden_triple(self, case):
+        g, rng = case
+        x = random_extension(g, rng)
+        admissible = is_admissible(x, g)
+        if admissible:
+            conjugate_chain(x, g)
+            return
+        with pytest.raises(ConjugateCycleError) as got:
+            conjugate_chain(x, g)
+        w = admissible.witness
+        cycle = got.value.cycle
+        assert cycle == (w[0], w[2], w[1])
+        pairs = bfs_pairs(g)
+        for u, nxt in zip(cycle, cycle[1:] + cycle[:1]):
+            assert conjugate_precedes(pairs, x, u, nxt)
 
 
 class TestRedundantArcsMatchBfs:
