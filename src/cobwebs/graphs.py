@@ -233,15 +233,30 @@ class Relation:
 
 
 class Chain:
-    """Total order on a vertex set, stored as an explicit sequence."""
+    """Total order on a vertex set, stored as an explicit sequence.
+
+    Ranks are built on first read; ``Chain(order)`` reads them to reject repeats.
+    """
 
     __slots__ = ("order", "_rank")
 
     def __init__(self, order: Iterable[Vertex]) -> None:
         self.order: tuple[Vertex, ...] = tuple(order)
-        self._rank: dict[Vertex, int] = {v: i for i, v in enumerate(self.order)}
         if len(self._rank) != len(self.order):
             raise ValueError("chain repeats a vertex")
+
+    @classmethod
+    def _permuted(cls, vertices: Sequence[Vertex], perm: Iterable[int]) -> Chain:
+        """The chain of vertices[i] for i in perm, trusted not to repeat a vertex."""
+        chain = cls.__new__(cls)
+        chain.order = tuple(map(vertices.__getitem__, perm))
+        return chain
+
+    def __getattr__(self, name: str) -> Any:  # only for a slot not yet set
+        if name != "_rank":
+            raise AttributeError(name)
+        self._rank: dict[Vertex, int] = {v: i for i, v in enumerate(self.order)}
+        return self._rank
 
     def rank(self, v: Vertex) -> int:
         try:
@@ -540,4 +555,4 @@ def iter_topological_orders(g: Digraph, limit: int | None = None) -> Iterator[Ch
         raise ValueError(f"limit must be positive, got {limit}")
     _acyclic_order(g)
     indices = _iter_index_orders(len(g), g._succ)
-    return islice((Chain(g.vertices[i] for i in idx) for idx in indices), limit)
+    return islice((Chain._permuted(g.vertices, idx) for idx in indices), limit)

@@ -216,7 +216,7 @@ def _chain_of(mask: int, p: FinitePoset) -> Chain:
     full = (1 << n) - 1
     after = [(mask >> (i * n) & full).bit_count() for i in range(n)]
     order = sorted(range(n), key=after.__getitem__, reverse=True)
-    return Chain(p.elements[i] for i in order)
+    return Chain._permuted(p.elements, order)
 
 
 def brute_force_dim_le_2(p: FinitePoset) -> CheckResult:

@@ -33,7 +33,6 @@ from .graphs import (
     _along,
     _chain_positions,
     _inverse,
-    _iter_bits,
     _position_reach,
     _reach_bits,
     _regularity,
@@ -168,18 +167,15 @@ def verify_realizer(r: Realizer) -> CheckResult:
     cover the target's vertex set raise VertexSetMismatchError.
     """
     g = r.target
-    index = g._index
-    if r.first._rank.keys() != index.keys():
+    # a chain's vertices are distinct, so it covers g when all n are in g
+    first, second = ([g._index.get(v) for v in c.order] for c in (r.first, r.second))
+    if len(first) != len(g) or None in first:
         raise VertexSetMismatchError(
             "realizer chains do not cover the target's vertex set"
         )
-    if r.second._rank.keys() != index.keys():
+    if len(second) != len(g) or None in second:
         raise VertexSetMismatchError("chains cover different vertex sets")
-    diff = _mismatch_masks(
-        _reach_bits(g)[0],
-        [index[v] for v in r.first.order],
-        [index[v] for v in r.second.order],
-    )
+    diff = _mismatch_masks(_reach_bits(g)[0], first, second)
     for i, mask in enumerate(diff):
         if mask:
             j = (mask & -mask).bit_length() - 1
@@ -249,7 +245,7 @@ def conjugate_chain(x: Chain, g: Digraph) -> Chain:
             raise AssertionError("no forbidden triple behind a cyclic conjugate")
         x1, x2, x3 = (x.order[p] for p in hit)
         raise ConjugateCycleError((x1, x3, x2))
-    return Chain(x.order[p] for p in _ranked(score))
+    return Chain._permuted(x.order, _ranked(score))
 
 
 def _orient_incomparability(reach: list[int], above: list[int]) -> list[int] | None:
@@ -267,14 +263,16 @@ def _orient_incomparability(reach: list[int], above: list[int]) -> list[int] | N
     Forcing commutes with reversal, so the class of q -> p is the
     reverse of the class A of p -> q: A = A⁻¹ or A ∩ A⁻¹ = ∅ (Golumbic
     1980, ch. 5), and A holds a pair both ways exactly when it holds
-    q -> p.  Each added pair is pushed, so one test before each pop
-    finds q -> p as soon as it appears.
+    q -> p.  Each added pair is appended to the class, so one test
+    before each pair is expanded finds q -> p as soon as it appears.
     """
     n = len(reach)
     full = (1 << n) - 1
     # the incomparability graph still to be oriented, one mask per position
     adj = [full & ~(reach[p] | above[p] | 1 << p) for p in range(n)]
     out = [0] * n  # out-degrees in T so far
+    heads = [0] * n  # the class being closed: a -> heads[a], cleared after it
+    tails = [0] * n  # and its transpose: tails[b] -> b
     p = 0
     while True:
         while p < n and not adj[p]:
@@ -282,26 +280,36 @@ def _orient_incomparability(reach: list[int], above: list[int]) -> list[int] | N
         if p == n:
             return out
         q = (adj[p] & -adj[p]).bit_length() - 1
-        heads = {p: 1 << q}  # the class being closed: a -> heads[a]
-        tails = {q: 1 << p}  # and its transpose: tails[b] -> b
-        todo = [(p, q)]
-        while todo:
-            if heads.get(q, 0) >> p & 1:
+        heads[p] = 1 << q
+        tails[q] = 1 << p
+        pairs = [(p, q)]  # the class so far; the loop also visits pairs appended
+        for a, b in pairs:
+            if heads[q] >> p & 1:
                 return None
-            a, b = todo.pop()
-            for c in _iter_bits(adj[a] & ~adj[b] & ~(1 << b) & ~heads.get(a, 0)):
-                heads[a] = heads.get(a, 0) | 1 << c
-                tails[c] = tails.get(c, 0) | 1 << a
-                todo.append((a, c))
-            for c in _iter_bits(adj[b] & ~adj[a] & ~(1 << a) & ~tails.get(b, 0)):
-                heads[c] = heads.get(c, 0) | 1 << b
-                tails[b] = tails.get(b, 0) | 1 << c
-                todo.append((c, b))
-        for a, mask in heads.items():
-            adj[a] &= ~mask
-            out[a] += mask.bit_count()
-        for b, mask in tails.items():
-            adj[b] &= ~mask
+            new = adj[a] & ~adj[b] & ~heads[a] & ~(1 << b)
+            if new:
+                heads[a] |= new
+                while new:
+                    c = (new & -new).bit_length() - 1
+                    new &= new - 1
+                    tails[c] |= 1 << a
+                    pairs.append((a, c))
+            new = adj[b] & ~adj[a] & ~tails[b] & ~(1 << a)
+            if new:
+                tails[b] |= new
+                while new:
+                    c = (new & -new).bit_length() - 1
+                    new &= new - 1
+                    heads[c] |= 1 << b
+                    pairs.append((c, b))
+        for a, b in pairs:  # delete the class; the masks clear at its endpoints
+            if heads[a]:
+                adj[a] &= ~heads[a]
+                out[a] += heads[a].bit_count()
+                heads[a] = 0
+            if tails[b]:
+                adj[b] &= ~tails[b]
+                tails[b] = 0
 
 
 def _realizer_positions(
@@ -389,5 +397,5 @@ def decide_orderable(g: Digraph) -> OrderabilityVerdict:
     chains = _realizer_positions(g._succ, first, pos_of, reach)
     if chains is None:
         return NoAdmissibleChain()
-    x, y = (Chain(g.vertices[first[p]] for p in chain) for chain in chains)
+    x, y = (Chain._permuted(g.vertices, map(first.__getitem__, c)) for c in chains)
     return Orderable(Realizer(x, y, g))

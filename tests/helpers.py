@@ -157,3 +157,79 @@ MALFORMED_JSON = {
     "deep": '{"vertices": ' + "[" * 100_000,
     "long_int": '{"vertices": [[1' + "0" * 5000 + ', 0]], "arcs": []}',
 }
+
+
+def reference_orientation(reach: list[int], above: list[int]) -> list[int] | None:
+    """Golumbic's G-decomposition with one dict per implication class.
+
+    The reference for ``_orient_incomparability``: classes taken in the
+    same order (smallest remaining pair first), each closed by forcing,
+    with a -> b forcing a -> c for every neighbour c of a not adjacent
+    to b and c -> b for every neighbour c of b not adjacent to a.
+    Returns the out-degrees of the orientation, or None when a class
+    holds its first pair reversed.
+    """
+
+    def bits(mask):
+        return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+    n = len(reach)
+    full = (1 << n) - 1
+    adj = [full & ~(reach[p] | above[p] | 1 << p) for p in range(n)]
+    out = [0] * n
+    p = 0
+    while True:
+        while p < n and not adj[p]:
+            p += 1
+        if p == n:
+            return out
+        q = bits(adj[p])[0]
+        heads = {p: 1 << q}
+        tails = {q: 1 << p}
+        todo = [(p, q)]
+        while todo:
+            if heads.get(q, 0) >> p & 1:
+                return None
+            a, b = todo.pop()
+            for c in bits(adj[a] & ~adj[b] & ~(1 << b) & ~heads.get(a, 0)):
+                heads[a] = heads.get(a, 0) | 1 << c
+                tails[c] = tails.get(c, 0) | 1 << a
+                todo.append((a, c))
+            for c in bits(adj[b] & ~adj[a] & ~(1 << a) & ~tails.get(b, 0)):
+                heads[c] = heads.get(c, 0) | 1 << b
+                tails[b] = tails.get(b, 0) | 1 << c
+                todo.append((c, b))
+        for a, mask in heads.items():
+            adj[a] &= ~mask
+            out[a] += bin(mask).count("1")
+        for b, mask in tails.items():
+            adj[b] &= ~mask
+
+
+def two_dimensional_order(
+    x: list[int], y: list[int], order: list[int], s3: bool = False
+) -> Digraph:
+    """The covers of the order i < j when x[i] < x[j] and y[i] < y[j].
+
+    Vertex i is ``Vertex(i + 1, 0)``, listed in the sequence ``order``.
+    With ``s3`` the standard example S3 follows on levels 1 and 2,
+    disjoint from the rest.
+    """
+    n = len(x)
+    up = [
+        sum(1 << j for j in range(n) if x[i] < x[j] and y[i] < y[j]) for i in range(n)
+    ]
+    vs = row(n)
+    arcs = []
+    for i in range(n):
+        implied = 0
+        for j in range(n):
+            if up[i] >> j & 1:
+                implied |= up[j]
+        arcs += [(vs[i], vs[j]) for j in range(n) if (up[i] & ~implied) >> j & 1]
+    vertices = [vs[i] for i in order]
+    if s3:
+        a, b = row(3, 1), row(3, 2)
+        vertices += a + b
+        arcs += [(a[i], b[j]) for i in range(3) for j in range(3) if i != j]
+    return Digraph(vertices, arcs)

@@ -6,9 +6,12 @@ slow way: realizers against the intersection of the two chains versus
 the reflexive reachability pairs, conjugates against a greedy peel of
 unbeaten vertices and their cycles against a brute-force search for the
 first forbidden triple, redundant arcs against BFS reachability, the
-check and dim views against the decider, parsers against
-Vertex-per-endpoint parsing into the public Digraph constructor.  Deep
-inputs check that nothing recurses once per vertex.
+check and dim views against the decider, the implication-class closure
+against the dict-based one it replaced, chains ranked on first read
+against chains ranked when built, a 300-element decision against the
+permutations that generated it, parsers against Vertex-per-endpoint
+parsing into the public Digraph constructor.  Deep inputs check that
+nothing recurses once per vertex.
 """
 
 import itertools
@@ -25,12 +28,15 @@ from cobwebs import (
     ConjugateCycleError,
     ConstantSequence,
     Digraph,
+    FinitePoset,
+    NoAdmissibleChain,
     NotLinearExtensionError,
     NotRegular,
     Orderable,
     Realizer,
     Vertex,
     VertexSetMismatchError,
+    brute_force_dim_le_2,
     build_cobweb,
     conjugate_chain,
     decide_orderable,
@@ -44,6 +50,7 @@ from cobwebs import (
     verify_realizer,
 )
 from cobwebs import realizers
+from cobwebs.graphs import _along, _chain_positions, _inverse, _position_reach
 from cobwebs.realizers import _check_graph, _dimension_up_to_2
 from cobwebs.serialization import (
     FormatError,
@@ -55,7 +62,15 @@ from cobwebs.serialization import (
     parse_vertex,
 )
 
-from helpers import bfs_pairs, fib_cobweb, row, v
+from helpers import (
+    bfs_pairs,
+    fib_cobweb,
+    reference_orientation,
+    row,
+    s3_plus,
+    two_dimensional_order,
+    v,
+)
 
 
 # ------------------------------------------------------------ references
@@ -450,6 +465,165 @@ class TestDeciderViews:
         vs = row(3)
         g = Digraph(vs, [(vs[0], vs[2]), (vs[0], vs[1]), (vs[1], vs[2])])
         assert decide_orderable(g) == NotRegular((vs[0], vs[2]))
+
+
+# ------------------------------------------------------------- orientation
+
+
+@st.composite
+def two_dimensional_orders(draw, max_n=60):
+    """A shuffled random 2-dimensional order, and whether a disjoint S3 follows."""
+    n = draw(st.integers(1, max_n))
+    x, y, order = (draw(st.permutations(range(n))) for _ in range(3))
+    s3 = draw(st.booleans())
+    return two_dimensional_order(x, y, order, s3), s3
+
+
+def orientation_inputs(g: Digraph, rng: random.Random):
+    """Reach and above masks along Kahn's order and along a random extension."""
+    first, pos_of, reach, _ = _along(g)
+    yield reach, realizers._above_masks(g._succ, first, pos_of)
+    pos_of = _chain_positions(random_extension(g, rng), g)
+    order = _inverse(pos_of)
+    reach, _ = _position_reach(g._succ, order, pos_of)
+    yield reach, realizers._above_masks(g._succ, order, pos_of)
+
+
+def same_orientation(g: Digraph, rng: random.Random) -> list:
+    """The closure's results on g's inputs, each asserted equal to the reference."""
+    results = []
+    for reach, above in orientation_inputs(g, rng):
+        got = realizers._orient_incomparability(reach, above)
+        assert got == reference_orientation(reach, above)
+        results.append(got)
+    return results
+
+
+class TestOrientationMatchesReference:
+    """_orient_incomparability against the dict-based closure it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(shuffled_dags())
+    def test_regular_dags(self, case):
+        g, rng = case
+        same_orientation(transitive_reduction(g), rng)
+
+    @settings(max_examples=150, deadline=None)
+    @given(two_dimensional_orders(), st.randoms(use_true_random=False))
+    def test_two_dimensional_orders(self, case, rng):
+        g, s3 = case
+        results = same_orientation(g, rng)
+        assert (results == [None, None]) if s3 else (None not in results)
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_s3_plus(self, k):
+        g = s3_plus(k).strict_digraph()
+        rng = random.Random(k)
+        order = list(g.vertices)
+        rng.shuffle(order)
+        assert same_orientation(Digraph(order, g.arcs), rng) == [None, None]
+
+
+class TestDecisionsAtScale:
+    """A 300-element order: many implication classes, and a "no" after them."""
+
+    def test_realizer_matches_the_generating_permutations(self):
+        rng = random.Random(300)
+        n = 300
+        x, y, order = (rng.sample(range(n), n) for _ in range(3))
+        verdict = decide_orderable(two_dimensional_order(x, y, order))
+        assert isinstance(verdict, Orderable)
+        after = []  # per chain, per vertex: the vertex numbers after it
+        for chain in (verdict.realizer.first, verdict.realizer.second):
+            masks, acc = {}, 0
+            for u in reversed(chain.order):
+                masks[u] = acc
+                acc |= 1 << (u.position - 1)
+            after.append(masks)
+        for i, u in enumerate(row(n)):
+            above = sum(1 << j for j in range(n) if x[i] < x[j] and y[i] < y[j])
+            assert after[0][u] & after[1][u] == above, u
+
+    def test_s3_listed_last_is_no(self):
+        rng = random.Random(301)
+        n = 300
+        x, y, order = (rng.sample(range(n), n) for _ in range(3))
+        g = two_dimensional_order(x, y, order, s3=True)
+        assert g.vertices[-6:] == tuple(row(3, 1) + row(3, 2))
+        assert decide_orderable(g) == NoAdmissibleChain()
+
+
+# ---------------------------------------------------------- lazy chain ranks
+
+
+def chains_by_caller(g: Digraph) -> dict[str, list[Chain]]:
+    """Chains of an orderable g from each caller that leaves their ranks unbuilt."""
+    r = decide_orderable(g).realizer
+    w = brute_force_dim_le_2(FinitePoset.from_digraph(g)).witness
+    x = decide_orderable(g).realizer.first  # conjugate_chain reads its ranks
+    return {
+        "decide": [r.first, r.second],
+        "conjugate": [conjugate_chain(x, g)],
+        "oracle": [w.first, w.second],
+        "topological": list(iter_topological_orders(g, limit=3)),
+    }
+
+
+def ranks_built(c: Chain) -> bool:
+    """Whether c's rank slot is set, read past Chain.__getattr__."""
+    try:
+        Chain._rank.__get__(c, Chain)
+    except AttributeError:
+        return False
+    return True
+
+
+class TestLazilyRankedChains:
+    """Chains ranked on first read behave as Chain(c.order) in every reader."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(shuffled_dags())
+    def test_readers_match_an_eager_chain(self, case):
+        g, _ = case
+        g = transitive_reduction(g)
+        if not isinstance(decide_orderable(g), Orderable):
+            return
+        by_caller = chains_by_caller(g)
+        for caller, chains in by_caller.items():
+            assert not any(ranks_built(c) for c in chains), caller
+        vertices = g.vertices + (Vertex(1, 99),)
+        pairs = list(itertools.product(vertices, repeat=2))
+        other = Digraph(row(len(g) + 1, 7))
+        foreign = Chain(other.vertices)
+        readers = {
+            "rank": lambda c, d: [outcome(c.rank, u) for u in vertices],
+            "precedes": lambda c, d: [outcome(c.precedes, a, b) for a, b in pairs],
+            "vertex_set": lambda c, d: c.vertex_set,
+            "eq": lambda c, d: (c == d, c == Chain(c.order), Chain(c.order) == c),
+            "hash": lambda c, d: hash(c),
+            "repr": lambda c, d: repr(c),
+            "is_admissible": lambda c, d: is_admissible(c, g),
+            "verify": lambda c, d: outcome(verify_realizer, Realizer(c, d, g)),
+            "verify_other": lambda c, d: outcome(verify_realizer, Realizer(c, d, other)),
+            "intersect": lambda c, d: outcome(intersect_chains, c, d),
+            "intersect_foreign": lambda c, d: outcome(intersect_chains, c, foreign),
+        }
+
+        def unranked(c: Chain) -> Chain:
+            return Chain._permuted(c.order, range(len(c)))
+
+        partner = by_caller["decide"][1]
+        for caller, chains in by_caller.items():
+            for c in chains:
+                for d in (partner, c):
+                    for name, read in readers.items():
+                        lazy = read(unranked(c), unranked(d))
+                        eager = read(Chain(c.order), Chain(d.order))
+                        assert lazy == eager, (caller, name)
+
+    def test_public_chain_rejects_a_repeat_when_built(self):
+        with pytest.raises(ValueError, match="^chain repeats a vertex$"):
+            Chain([v(1), v(1)])
 
 
 # ----------------------------------------------------------------- parsers
