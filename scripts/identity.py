@@ -28,7 +28,17 @@ to level 12.  For each input it compares the text of:
 - the dimension <= 2 answer, ``decide_orderable(transitive_reduction(g))``;
 - the ``check`` and ``dim`` views, ``_check_graph`` (regularity and
   admissibility, with witnesses) and ``_dimension_up_to_2``;
-- ``graph_to_json``, ``graph_to_edgelist`` and ``graph_to_dot``.
+- ``graph_to_json``, ``graph_to_edgelist`` and ``graph_to_dot``;
+- ``reachability``;
+- on the fib cobwebs, ``strict_order_relation`` and
+  ``intersect_chains(ascending_chain, descending_chain)``;
+- on inputs with at most 9 vertices, ``brute_force_dim_le_2`` of
+  ``FinitePoset.from_digraph`` (the verdict and both witness chains),
+  and on those with at most 8, its ``order_dimension`` up to 3.
+
+Relations are written as their pairs of vertex strings, sorted, one
+per line, so the text does not depend on the type that holds them.  A
+field that does not apply to an input is empty.
 
 The command lines run ``python -m cobwebs`` in a subprocess and compare
 its exit code, stdout and stderr.  They cover gen, check, realize, dim
@@ -73,6 +83,11 @@ FIELDS = (
     "json",
     "edgelist",
     "dot",
+    "reachability",
+    "strict_order",
+    "intersection",
+    "pair_search",
+    "dimension",
 )
 PARTS = ("exit code", "stdout", "stderr")
 
@@ -306,11 +321,21 @@ def dump() -> None:
         Chain,
         ConjugateCycleError,
         Digraph,
+        FibonacciSequence,
+        FinitePoset,
         Vertex,
+        ascending_chain,
+        brute_force_dim_le_2,
+        build_cobweb,
         conjugate_chain,
         decide_orderable,
+        descending_chain,
+        intersect_chains,
         is_admissible,
         is_regular,
+        order_dimension,
+        reachability,
+        strict_order_relation,
         topological_order,
         transitive_reduction,
     )
@@ -327,6 +352,26 @@ def dump() -> None:
             return repr(conjugate_chain(x, g).order)
         except ConjugateCycleError as err:
             return f"cycle {err.cycle!r} {err}"
+
+    def pairs(relation: Iterable[tuple[Vertex, Vertex]]) -> str:
+        return "\n".join(sorted(f"{a} {b}" for a, b in relation))
+
+    def cobweb_relations(name: str) -> tuple[str, str]:
+        if not name.startswith("fib_"):
+            return "", ""
+        p = build_cobweb(FibonacciSequence(), int(name[len("fib_") :]))
+        both = intersect_chains(ascending_chain(p), descending_chain(p))
+        return pairs(strict_order_relation(p)), pairs(both)
+
+    def oracle(g: Digraph) -> tuple[str, str]:
+        if len(g) > 9:
+            return "", ""
+        poset = FinitePoset.from_digraph(g)
+        found = brute_force_dim_le_2(poset)
+        r = found.witness
+        chains = (r.first.order, r.second.order) if found else ()
+        dim = repr(order_dimension(poset, 3)) if len(g) <= 8 else ""
+        return f"{bool(found)} {chains!r}", dim
 
     out = sys.stdout
     out.write(f"cobwebs {Path(cobwebs.__file__).resolve().parent}\n")
@@ -349,6 +394,9 @@ def dump() -> None:
             graph_to_json(g),
             graph_to_edgelist(g),
             graph_to_dot(g),
+            pairs(reachability(g)),
+            *cobweb_relations(name),
+            *oracle(g),
         )
         kind = type(verdict).__name__
         out.write(f"{name}\t{kind}\t{_digests(t.encode() for t in texts)}\n")

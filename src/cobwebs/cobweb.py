@@ -204,7 +204,9 @@ def build_cobweb(sequence: LevelSequence, max_level: int) -> CobwebPoset:
 
 
 def strict_order_relation(p: CobwebPoset) -> Relation:
-    """All strictly related pairs of p, i.e. every cross-level pair."""
-    vs = p.hasse.vertices
-    pairs = frozenset((x, y) for x in vs for y in vs if x.level < y.level)
-    return Relation(vs, pairs)
+    """All strictly related pairs of p: every cross-level pair, one mask per level."""
+    g, start, masks = p.hasse, 0, []
+    for level in p.levels:
+        start += len(level)
+        masks += [(1 << len(g)) - (1 << start)] * len(level)
+    return Relation._from_masks(g.vertices, masks, g._index)

@@ -210,26 +210,67 @@ def _resolved(
         yield t, h
 
 
-@dataclass(frozen=True)
 class Relation:
-    """A set of ordered vertex pairs over a fixed vertex tuple.
+    """A set of ordered vertex pairs over a fixed vertex tuple, one bitmask per vertex.
 
     Used both for reachability of a digraph and for the strict order of
-    a poset; two relations compare equal when they relate the same
-    vertices the same way, regardless of where they came from.
+    a poset.  Bit j of the mask of vertices[i] is set when the pair
+    (vertices[i], vertices[j]) is in the relation, so a relation over n
+    vertices holds n**2 / 8 bytes of masks; ``pairs`` builds the
+    frozenset of vertex pairs on each read.  Two relations compare
+    equal when they have the same vertex tuple, in the same order, and
+    relate its vertices the same way; the same pairs over a reordered
+    vertex tuple compare unequal.  Iteration yields the pairs in vertex
+    order.  The constructor rejects duplicate vertices and pairs with an
+    endpoint outside ``vertices`` (ValueError).
     """
 
-    vertices: tuple[Vertex, ...]
-    pairs: frozenset[Arc]
+    __slots__ = ("vertices", "_masks", "_index")
+
+    def __init__(self, vertices: Iterable[Vertex], pairs: Iterable[Arc]) -> None:
+        vs = tuple(vertices)
+        index = _vertex_index(vs)
+        masks = [0] * len(vs)
+        for i, j in _resolved(index, pairs, str):
+            masks[i] |= 1 << j
+        self.vertices, self._masks, self._index = vs, tuple(masks), index
+
+    @classmethod
+    def _from_masks(
+        cls, vertices: tuple[Vertex, ...], masks: Iterable[int], index: dict[Any, int]
+    ) -> Relation:
+        """The relation of the masks over ``vertices``, which ``index`` numbers."""
+        r = cls.__new__(cls)
+        r.vertices, r._masks, r._index = vertices, tuple(masks), index
+        return r
+
+    @property
+    def pairs(self) -> frozenset[Arc]:
+        """The pairs as a frozenset, built on each read."""
+        return frozenset(self)
 
     def __contains__(self, pair: Arc) -> bool:
-        return pair in self.pairs
+        u, v = pair
+        i, j = self._index.get(u), self._index.get(v)
+        return i is not None and j is not None and self._masks[i] >> j & 1 == 1
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return sum(m.bit_count() for m in self._masks)
 
     def __iter__(self) -> Iterator[Arc]:
-        return iter(self.pairs)
+        vs, rows = self.vertices, enumerate(self._masks)
+        return ((vs[i], vs[j]) for i, m in rows for j in _iter_bits(m))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Relation):
+            return NotImplemented
+        return self.vertices == other.vertices and self._masks == other._masks
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self._masks))
+
+    def __repr__(self) -> str:
+        return f"Relation({len(self.vertices)} vertices, {len(self)} pairs)"
 
 
 class Chain:
@@ -396,14 +437,9 @@ def reachability(g: Digraph) -> Relation:
     """All pairs (u, w) with a directed path of length >= 1 from u to w.
 
     The result is irreflexive because g is required to be acyclic
-    (CyclicInputError otherwise).
+    (CyclicInputError otherwise); its masks are those of _reach_bits.
     """
-    reach = _reach_bits(g)[0]
-    vs = g.vertices
-    pairs = frozenset(
-        (vs[i], vs[j]) for i in range(len(vs)) for j in _iter_bits(reach[i])
-    )
-    return Relation(vs, pairs)
+    return Relation._from_masks(g.vertices, _reach_bits(g)[0], g._index)
 
 
 def _regularity(g: Digraph, pos_of: Sequence[int], red: list[int]) -> CheckResult:

@@ -31,8 +31,8 @@ from .graphs import (
     Digraph,
     Vertex,
     _iter_bits,
+    _reach_bits,
     iter_topological_orders,
-    reachability,
 )
 from .realizers import Realizer
 
@@ -50,6 +50,13 @@ __all__ = [
 MAX_ENUMERATION_SIZE = 12
 MAX_PAIR_SEARCH_SIZE = 9
 MAX_DIMENSION_SIZE = 8
+
+# _BITS[m] lists the set bits of m ascending, for every m below
+# 1 << MAX_PAIR_SEARCH_SIZE: the masks of the pair search and of order_dimension.
+_BITS: tuple[tuple[int, ...], ...] = ((),)
+for _k in range(MAX_PAIR_SEARCH_SIZE):
+    _BITS += tuple(bits + (_k,) for bits in _BITS)
+del _k
 
 
 class TooLargeError(ValueError):
@@ -88,15 +95,38 @@ class FinitePoset:
         idx = {e: i for i, e in enumerate(elements)}
         if len(idx) != len(elements):
             raise ValueError("duplicate elements")
-        pred, succ = [0] * len(elements), [0] * len(elements)
+        succ = [0] * len(elements)
         for a, b in self.strict:
             i, j = idx.get(a), idx.get(b)
             if i is None or j is None:
                 bad = (p for p in self.strict if p[0] not in idx or p[1] not in idx)
                 a, b = min(bad)
                 raise ValueError(f"pair ({a}, {b}) uses a non-element")
-            pred[j] |= 1 << i
             succ[i] |= 1 << j
+        self._set_order(succ)
+
+    @classmethod
+    def _from_masks(cls, elements: tuple[Vertex, ...], succ: list[int]) -> FinitePoset:
+        """The poset with elements[i] < elements[j] where bit j of succ[i] is set.
+
+        The elements must be distinct.  The order axioms are checked as
+        by the pair constructor, and ``strict`` is built from the masks.
+        """
+        p = cls.__new__(cls)
+        rows = enumerate(succ)
+        strict = ((elements[i], elements[j]) for i, m in rows for j in _iter_bits(m))
+        object.__setattr__(p, "elements", elements)
+        object.__setattr__(p, "strict", frozenset(strict))
+        p._set_order(succ)
+        return p
+
+    def _set_order(self, succ: list[int]) -> None:
+        """Check the order axioms on succ, then keep it and its transpose."""
+        elements = self.elements
+        pred = [0] * len(succ)
+        for i, above in enumerate(succ):
+            for j in _iter_bits(above):
+                pred[j] |= 1 << i
         for i, above in enumerate(succ):
             if above >> i & 1:
                 raise ValueError(f"strict order is not irreflexive at {elements[i]}")
@@ -120,7 +150,7 @@ class FinitePoset:
     @classmethod
     def from_digraph(cls, g: Digraph) -> FinitePoset:
         """The poset whose strict order is the reachability of g."""
-        return cls(g.vertices, reachability(g).pairs)
+        return cls._from_masks(g.vertices, _reach_bits(g)[0])
 
     def strict_digraph(self) -> Digraph:
         """The strict order as a digraph, arcs in element order."""
@@ -174,12 +204,12 @@ def _extension_pair_masks(p: FinitePoset) -> tuple[list[int], int, int]:
         level = {
             upper ^ 1 << i: []
             for upper in larger
-            for i in _iter_bits(upper)
+            for i in _BITS[upper]
             if not succ[i] & upper
         }
         for placed, suffixes in level.items():
             rest = full ^ placed
-            for i in _iter_bits(rest):
+            for i in _BITS[rest]:
                 if not pred[i] & rest:
                     bits = (rest ^ 1 << i) << (i * n)
                     suffixes += [bits | m for m in larger[placed | 1 << i]]
@@ -265,7 +295,7 @@ def order_dimension(p: FinitePoset, max_k: int = 3) -> int | None:
         raise ValueError(f"max_k must be 1, 2 or 3, got {max_k}")
     n = len(p)
     _check_size(n, MAX_DIMENSION_SIZE, "dimension")
-    if len(p.strict) == n * (n - 1) // 2:
+    if sum(m.bit_count() for m in p._succ) == n * (n - 1) // 2:
         return 1
     if max_k == 1:
         return None

@@ -27,6 +27,7 @@ from .graphs import (
     CheckResult,
     Digraph,
     NotLinearExtensionError,
+    Relation,
     Vertex,
     VertexSetMismatchError,
     _admissibility_witness,
@@ -79,23 +80,19 @@ def descending_chain(p: CobwebPoset) -> Chain:
     return Chain(v for level in p.levels for v in reversed(level))
 
 
-def intersect_chains(a: Chain, b: Chain) -> frozenset[Arc]:
+def intersect_chains(a: Chain, b: Chain) -> Relation:
     """Pairs (u, v) that both chains order the same way, u no later than v.
 
-    The result is reflexive and is a partial order whenever both chains
-    cover the same vertex set, which is required
+    The result is a Relation over a's order, from _mismatch_masks against
+    the empty relation.  It is reflexive and is a partial order whenever
+    both chains cover the same vertex set, which is required
     (VertexSetMismatchError otherwise).
     """
     if a.vertex_set != b.vertex_set:
         raise VertexSetMismatchError("chains cover different vertex sets")
-    rank_b = b._rank
-    pairs: set[Arc] = set()
-    for i, u in enumerate(a.order):
-        bu = rank_b[u]
-        for v in a.order[i:]:
-            if bu <= rank_b[v]:
-                pairs.add((u, v))
-    return frozenset(pairs)
+    rank, n = a._rank, len(a)
+    both = _mismatch_masks([0] * n, range(n), [rank[v] for v in b.order])
+    return Relation._from_masks(a.order, (m | 1 << p for p, m in enumerate(both)), rank)
 
 
 @dataclass(frozen=True)

@@ -206,6 +206,45 @@ def reference_orientation(reach: list[int], above: list[int]) -> list[int] | Non
             adj[b] &= ~mask
 
 
+def reference_extension_pair_masks(p: FinitePoset) -> tuple[list[int], int, int]:
+    """The oracle's extension pair masks, target and incomp, with a bit generator.
+
+    The reference for ``oracle._extension_pair_masks``, which reads a
+    table of set bits: the same down-set levels, walked with a
+    generator over each mask's set bits.
+    """
+
+    def bits(mask):
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+
+    n = len(p)
+    pred, succ = p._pred, p._succ
+    full = (1 << n) - 1
+    larger = {full: [0]}  # the suffix masks of each down-set one larger
+    for _ in range(n):
+        level = {
+            upper ^ 1 << i: []
+            for upper in larger
+            for i in bits(upper)
+            if not succ[i] & upper
+        }
+        for placed, suffixes in level.items():
+            rest = full ^ placed
+            for i in bits(rest):
+                if not pred[i] & rest:
+                    tail = (rest ^ 1 << i) << (i * n)
+                    suffixes += [tail | m for m in larger[placed | 1 << i]]
+        larger = level
+    pairs = (1 << n * n) - 1
+    target = sum(above << (i * n) for i, above in enumerate(succ))
+    transpose = sum(below << (i * n) for i, below in enumerate(pred))
+    diagonal = sum(1 << (i * n + i) for i in range(n))
+    return larger[0], target, pairs & ~diagonal & ~target & ~transpose
+
+
 def two_dimensional_order(
     x: list[int], y: list[int], order: list[int], s3: bool = False
 ) -> Digraph:

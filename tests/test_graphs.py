@@ -1,6 +1,8 @@
 """Digraph machinery: reachability, reduction, regularity, chains."""
 
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from cobwebs import (
     Chain,
     CyclicInputError,
     Digraph,
+    Relation,
     Vertex,
     VertexSetMismatchError,
     is_acyclic,
@@ -198,6 +201,55 @@ class TestReachability:
         a = graph_on(3, [(0, 1), (1, 2)])
         b = graph_on(3, [(0, 1), (1, 2), (0, 2)])
         assert reachability(a) == reachability(b)
+        assert hash(reachability(a)) == hash(reachability(b))
+
+
+class TestRelation:
+    def test_equality_needs_the_same_vertex_order(self):
+        g = graph_on(3, [(0, 1), (1, 2)])
+        flipped = Digraph(reversed(g.vertices), g.arcs)
+        assert reachability(flipped).pairs == reachability(g).pairs
+        assert reachability(flipped) != reachability(g)
+
+    def test_pair_with_a_non_vertex_is_not_in(self):
+        r = reachability(graph_on(3, [(0, 1), (1, 2)]))
+        stranger = Vertex(9, 9)
+        assert (v(1), stranger) not in r
+        assert (stranger, v(1)) not in r
+        assert (stranger, stranger) not in r
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_dags())
+    def test_len_and_set_match_pairs(self, g):
+        r = reachability(g)
+        assert len(r) == len(r.pairs)
+        assert set(r) == r.pairs
+
+    @settings(max_examples=20, deadline=None)
+    @given(small_dags())
+    def test_survives_pickle_and_copies(self, g):
+        r = reachability(g)
+        for twin in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+            assert twin == r
+            assert hash(twin) == hash(r)
+            assert twin.pairs == r.pairs
+            assert all(pair in twin for pair in r.pairs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_dags())
+    def test_iterates_in_vertex_order(self, g):
+        r = reachability(g)
+        idx = g.index
+        assert list(r) == sorted(r.pairs, key=lambda p: (idx(p[0]), idx(p[1])))
+
+    def test_public_constructor_matches_reachability(self):
+        g = fib_cobweb(3).hasse
+        r = reachability(g)
+        assert Relation(g.vertices, r.pairs) == r
+        with pytest.raises(ValueError, match="is not a vertex"):
+            Relation(g.vertices[:1], r.pairs)
+        with pytest.raises(ValueError, match="duplicate vertex"):
+            Relation(g.vertices[:1] * 2, ())
 
 
 class TestTransitiveReduction:

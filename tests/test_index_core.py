@@ -82,7 +82,7 @@ def reference_verify(r: Realizer) -> CheckResult:
         raise VertexSetMismatchError(
             "realizer chains do not cover the target's vertex set"
         )
-    got = intersect_chains(r.first, r.second)
+    got = intersect_chains(r.first, r.second).pairs
     expected = set(reachability(r.target).pairs)
     expected.update((u, u) for u in r.target.vertices)
     diff = got.symmetric_difference(expected)

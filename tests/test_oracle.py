@@ -7,12 +7,13 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cobwebs import (
     Chain,
     ConstantSequence,
+    Digraph,
     FinitePoset,
     TooLargeError,
     brute_force_dim_le_2,
@@ -26,14 +27,17 @@ from cobwebs import (
 )
 
 from cobwebs import oracle
+from cobwebs.graphs import _reach_bits
 from cobwebs.oracle import _extension_pair_masks
 
 from helpers import (
     all_triangular_dags,
+    bfs_pairs,
     fib_cobweb,
     graph_on,
     permutation_extensions,
     random_regular_dag,
+    reference_extension_pair_masks,
     row,
     s3_plus,
     standard_3d_poset,
@@ -63,8 +67,6 @@ def small_posets(draw, max_vertices=5):
         for j in range(i + 1, n):
             if draw(st.booleans()):
                 arcs.append((vs[i], vs[j]))
-    from cobwebs import Digraph
-
     return poset_of(Digraph(vs, arcs))
 
 
@@ -200,6 +202,95 @@ class TestFinitePoset:
         assert got == ((v(4), v(3)), (v(2), v(3)), (v(1), v(2)), (v(1), v(3)))
 
 
+def linear_extension_count(g: Digraph) -> int:
+    """Linear extensions of an acyclic g, counted over its down-sets."""
+    n = len(g)
+    pred = [0] * n
+    for t, h in g.arcs:
+        pred[g.index(h)] |= 1 << g.index(t)
+    ways = [1] + [0] * ((1 << n) - 1)
+    for placed in range(1 << n):
+        for i in range(n):
+            if not placed >> i & 1 and pred[i] & ~placed == 0:
+                ways[placed | 1 << i] += ways[placed]
+    return ways[-1]
+
+
+@st.composite
+def dags_up_to_9(draw):
+    """DAGs on at most 9 shuffled vertices with at most 20,000 linear extensions."""
+    n = draw(st.integers(0, 9))
+    vs = draw(st.permutations(row(n)))
+    slots = [(vs[i], vs[j]) for i in range(n) for j in range(i + 1, n)]
+    g = Digraph(draw(st.permutations(vs)), [a for a in slots if draw(st.booleans())])
+    assume(linear_extension_count(g) <= 20_000)
+    return g
+
+
+class TestMaskConstructor:
+    """FinitePoset's mask constructor, behind from_digraph, against the pair one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dags_up_to_9())
+    def test_same_poset_as_from_pairs(self, g):
+        got = FinitePoset._from_masks(g.vertices, _reach_bits(g)[0])
+        want = FinitePoset(g.vertices, frozenset(bfs_pairs(g)))
+        assert (got.elements, got.strict) == (want.elements, want.strict)
+        assert (got._pred, got._succ) == (want._pred, want._succ)
+        assert got == want and hash(got) == hash(want)
+        assert poset_of(g) == got
+        assert repr(poset_of(g)) == repr(FinitePoset(g.vertices, reachability(g).pairs))
+
+    @pytest.mark.parametrize(
+        "succ, message",
+        [
+            ([0b0001, 0b0010, 0, 0], "strict order is not irreflexive at 1,0"),
+            (
+                [0b0010, 0b0001, 0b1000, 0b0100],
+                "strict order is not antisymmetric on 1,0, 2,0",
+            ),
+            (
+                [0b0010, 0b1100, 0, 0],
+                "strict order is not transitive: 1,0 < 2,0 < 3,0 but not 1,0 < 3,0",
+            ),
+        ],
+        ids=["irreflexive", "antisymmetric", "transitive"],
+    )
+    def test_planted_bad_masks_give_the_pair_constructors_message(self, succ, message):
+        elements = tuple(row(4))
+        with pytest.raises(ValueError) as info:
+            FinitePoset._from_masks(elements, succ)
+        assert str(info.value) == message
+        pairs = [
+            (a, b)
+            for a, above in zip(elements, succ)
+            for j, b in enumerate(elements)
+            if above >> j & 1
+        ]
+        with pytest.raises(ValueError) as info:
+            FinitePoset(elements, frozenset(pairs))
+        assert str(info.value) == message
+
+
+class TestExtensionMasksMatchReference:
+    """The table-driven enumeration against the generator-driven reference."""
+
+    def test_bit_table(self):
+        want = tuple(tuple(i for i in range(9) if m >> i & 1) for m in range(512))
+        assert oracle._BITS == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(dags_up_to_9())
+    def test_posets_up_to_9_elements(self, g):
+        p = poset_of(g)
+        assert _extension_pair_masks(p) == reference_extension_pair_masks(p)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_s3_plus_isolated(self, k):
+        p = s3_plus(k)
+        assert _extension_pair_masks(p) == reference_extension_pair_masks(p)
+
+
 def test_oracle_imports_only_realizer_from_the_decider():
     """The oracle stays independent of the decider it checks."""
     tree = ast.parse(Path(oracle.__file__).read_text())
@@ -281,7 +372,7 @@ class TestBruteForceDimLe2:
         p = cobweb_poset(fib_cobweb(4))
         r = brute_force_dim_le_2(p).witness
         diagonal = {(e, e) for e in p.elements}
-        assert intersect_chains(r.first, r.second) == p.strict | diagonal
+        assert intersect_chains(r.first, r.second).pairs == p.strict | diagonal
 
     def test_standard_3d_poset_fails(self):
         assert not brute_force_dim_le_2(standard_3d_poset())

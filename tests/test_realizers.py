@@ -80,7 +80,7 @@ class TestCanonicalChains:
 class TestIntersectChains:
     def test_identical_chains_give_their_total_order(self):
         c = Chain(row(3))
-        pairs = intersect_chains(c, c)
+        pairs = intersect_chains(c, c).pairs
         assert pairs == frozenset(
             (c[i], c[j]) for i in range(3) for j in range(i, 3)
         )
@@ -88,7 +88,7 @@ class TestIntersectChains:
     def test_opposite_chains_give_the_diagonal(self):
         c = Chain(row(4))
         d = Chain(reversed(row(4)))
-        assert intersect_chains(c, d) == frozenset((u, u) for u in row(4))
+        assert intersect_chains(c, d).pairs == frozenset((u, u) for u in row(4))
 
     def test_vertex_set_mismatch(self):
         with pytest.raises(VertexSetMismatchError):
@@ -96,7 +96,7 @@ class TestIntersectChains:
 
     def test_cobweb_identity_level_5(self):
         p = fib_cobweb(5)
-        got = intersect_chains(ascending_chain(p), descending_chain(p))
+        got = intersect_chains(ascending_chain(p), descending_chain(p)).pairs
         expected = strict_order_relation(p).pairs | {
             (u, u) for u in p.hasse.vertices
         }
@@ -112,7 +112,7 @@ class TestIntersectChains:
     @settings(max_examples=40, deadline=None)
     @given(st.permutations(row(5)), st.permutations(row(5)))
     def test_matches_quadratic_reference(self, a, b):
-        assert intersect_chains(Chain(a), Chain(b)) == intersection_pairs(a, b)
+        assert intersect_chains(Chain(a), Chain(b)).pairs == intersection_pairs(a, b)
 
     @settings(max_examples=40, deadline=None)
     @given(st.permutations(row(5)), st.permutations(row(5)))
@@ -211,7 +211,7 @@ class TestConjugateChain:
         p = fib_cobweb(5)
         chain = ascending_chain(p)
         mate = conjugate_chain(chain, p.hasse)
-        assert intersect_chains(chain, mate) == reflexive_closure_of_reach(p.hasse)
+        assert intersect_chains(chain, mate).pairs == reflexive_closure_of_reach(p.hasse)
 
 
 class TestDecideOrderable:
@@ -227,7 +227,7 @@ class TestDecideOrderable:
         verdict = decide_orderable(p.hasse)
         got = intersect_chains(verdict.realizer.first, verdict.realizer.second)
         canonical = intersect_chains(ascending_chain(p), descending_chain(p))
-        assert got == canonical
+        assert got.pairs == canonical.pairs
 
     def test_not_regular_witness(self):
         g = graph_on(3, [(0, 1), (1, 2), (0, 2)])

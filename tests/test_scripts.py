@@ -55,4 +55,9 @@ def test_identity_coverage(tmp_path):
         "json",
         "edgelist",
         "dot",
+        "reachability",
+        "strict_order",
+        "intersection",
+        "pair_search",
+        "dimension",
     )
