@@ -155,7 +155,11 @@ class CobwebPoset:
 
     ``levels[s]`` holds the vertices of level s in ascending position
     order, and ``hasse`` is the cover digraph: every vertex of one level
-    points to every vertex of the next.
+    points to every vertex of the next.  The builder hands ``hasse`` its
+    arc list and successor lists directly (``Digraph._from_succ``),
+    built in C from the levels' index blocks: no Python step runs per
+    arc, no arc set is built, and the tails of one level share one
+    successor list.
     """
 
     __slots__ = ("sequence", "max_level", "levels", "hasse")
@@ -171,14 +175,16 @@ class CobwebPoset:
         starts = [0]
         for level in levels:
             starts.append(starts[-1] + len(level))
-        # every vertex of one level to every vertex of the next, streamed;
-        # the arc tuples share the int objects of these index blocks
-        blocks = [tuple(range(a, b)) for a, b in zip(starts, starts[1:])]
-        arcs = chain.from_iterable(map(product, blocks, blocks[1:]))
+        # the index blocks of the levels are disjoint, so the arcs of their
+        # products are distinct and loop-free; they share the blocks' ints,
+        # and every tail of a level shares the next block as its heads
+        blocks = [list(range(a, b)) for a, b in zip(starts, starts[1:])]
+        arcs = list(chain.from_iterable(map(product, blocks, blocks[1:])))
+        succ = [heads for tails, heads in zip(blocks, blocks[1:] + [[]]) for _ in tails]
         self.sequence = sequence
         self.max_level = max_level
         self.levels = levels
-        self.hasse = Digraph._from_index_arcs(vertices, arcs)
+        self.hasse = Digraph._from_succ(vertices, succ, arcs)
 
     def leq(self, x: Vertex, y: Vertex) -> bool:
         """The order relation: x on a strictly lower level, or x == y.

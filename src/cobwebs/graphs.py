@@ -97,8 +97,10 @@ class Digraph:
     Vertices keep their construction order and arcs keep first-insertion
     order, so every computation derived from a Digraph is deterministic.
     Duplicate arcs are dropped silently; duplicate vertices, loops and
-    arcs with unknown endpoints are rejected.  The arcs are stored only
-    as index pairs; ``arcs`` builds the vertex pairs on each read.
+    arcs with unknown endpoints are rejected, the first fault in input
+    order deciding the message.  The arcs are stored only as index
+    pairs: one tuple per arc in ``_arc_index`` and one slot per arc in
+    a successor list; ``arcs`` builds the vertex pairs on each read.
     """
 
     __slots__ = ("vertices", "_index", "_succ", "_arc_index")
@@ -106,46 +108,68 @@ class Digraph:
     def __init__(self, vertices: Iterable[Vertex], arcs: Iterable[Arc] = ()) -> None:
         vs = tuple(vertices)
         index = _vertex_index(vs)
-        self._build(vs, index, _resolved(index, arcs, str))
+        self._build(vs, index, _resolved(index, arcs, str, vs))
 
     @classmethod
     def _from_index_arcs(
-        cls, vertices: Iterable[Vertex], arcs: Iterable[tuple[int, int]]
+        cls, vertices: Iterable[Vertex], arcs: list[tuple[int, int]]
     ) -> Digraph:
-        """A Digraph from arcs given as index pairs into ``vertices``.
+        """A Digraph from a list of arcs given as index pairs into ``vertices``.
 
-        The constructor behind every parser and the cobweb builder: it
-        hashes no Vertex per arc.  Rejects duplicate vertices and loops
-        with the same messages as the public constructor; the indices
-        must be in range.
+        The constructor behind the parsers and the derived digraphs: it
+        hashes no Vertex per arc, and the list itself becomes
+        ``_arc_index`` when no arc repeats.
+        Rejects duplicate vertices and loops with the same messages as
+        the public constructor; the indices must be in range.
         """
         g = cls.__new__(cls)
         vs = tuple(vertices)
         g._build(vs, _vertex_index(vs), arcs)
         return g
 
+    @classmethod
+    def _from_succ(
+        cls,
+        vertices: Iterable[Vertex],
+        succ: list[list[int]],
+        arcs: list[tuple[int, int]],
+    ) -> Digraph:
+        """A Digraph that keeps the successor lists and arc list it is given.
+
+        For arcs that are distinct and loop-free by construction, such
+        as the cobweb builder's: ``arcs`` is in insertion order and
+        ``succ[t]`` lists t's heads in that order.  Only the vertices
+        are checked, for duplicates.
+        """
+        g = cls.__new__(cls)
+        vs = tuple(vertices)
+        g.vertices, g._index, g._succ, g._arc_index = vs, _vertex_index(vs), succ, arcs
+        return g
+
     def _build(
         self,
         vs: tuple[Vertex, ...],
         index: dict[Vertex, int],
-        arcs: Iterable[tuple[int, int]],
+        arcs: list[tuple[int, int]],
     ) -> None:
+        """Keep the first occurrence of each arc, in order, and fill ``_succ``.
+
+        One loop fills the successor lists and raises on the first loop.
+        An arc repeats exactly when some tail's heads do, which a ``set``
+        of each tail's heads finds in C; only then does ``dict.fromkeys``
+        copy the arc and successor lists without the repeats.  So a list
+        without repeats is kept as it is, and no set of all the arcs is
+        built.
+        """
         succ: list[list[int]] = [[] for _ in vs]
-        seen: set[tuple[int, int]] = set()
-        kept: list[tuple[int, int]] = []
-        for arc in arcs:
-            t, h = arc
+        for t, h in arcs:
             if t == h:
                 raise ValueError(f"loop at {vs[t]}")
-            if arc in seen:
-                continue
-            seen.add(arc)
             succ[t].append(h)
-            kept.append(arc)
-        self.vertices = vs
-        self._index = index
-        self._succ = succ
-        self._arc_index = kept
+        if any(len(set(heads)) != len(heads) for heads in succ):
+            arcs = list(dict.fromkeys(arcs))
+            succ = [list(dict.fromkeys(heads)) for heads in succ]
+        self.vertices, self._index, self._succ, self._arc_index = vs, index, succ, arcs
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
@@ -195,19 +219,27 @@ def _vertex_index(vs: tuple[Vertex, ...]) -> dict[Vertex, int]:
 
 
 def _resolved(
-    index: dict[Any, int], arcs: Iterable[tuple[Any, Any]], name: Callable[[Any], Any]
-) -> Iterator[tuple[int, int]]:
-    """The arcs as index pairs, resolved lazily through ``index``.
+    index: dict[Any, int],
+    arcs: Iterable[tuple[Any, Any]],
+    name: Callable[[Any], Any],
+    vs: Sequence[Vertex] | None = None,
+) -> list[tuple[int, int]]:
+    """The arcs as a list of index pairs, resolved through ``index`` in input order.
 
     An unknown endpoint, tail before head, raises ValueError with
-    ``name`` formatting its key.
+    ``name`` formatting its key.  Given the vertices ``vs``, a loop
+    raises too, so the first of either fault decides the message.
     """
+    out = []
     for tail, head in arcs:
         t, h = index.get(tail), index.get(head)
         if t is None or h is None:
             unknown = tail if t is None else head
             raise ValueError(f"arc endpoint {name(unknown)} is not a vertex")
-        yield t, h
+        if t == h and vs is not None:
+            raise ValueError(f"loop at {vs[t]}")
+        out.append((t, h))
+    return out
 
 
 class Relation:
@@ -462,7 +494,7 @@ def transitive_reduction(g: Digraph) -> Digraph:
     when its head is in its tail's redundant-head mask (_position_reach).
     """
     red = _reach_bits(g)[1]
-    kept = ((t, h) for t, h in g._arc_index if not red[t] >> h & 1)
+    kept = [(t, h) for t, h in g._arc_index if not red[t] >> h & 1]
     return Digraph._from_index_arcs(g.vertices, kept)
 
 
@@ -477,13 +509,18 @@ def is_regular(g: Digraph) -> CheckResult:
 
 
 def _chain_positions(c: Chain, g: Digraph) -> list[int]:
-    """pos_of[i] = position along c of vertex i of g; c must cover g."""
-    rank = c._rank
-    if rank.keys() != g._index.keys():
+    """pos_of[i] = position along c of vertex i of g; c must cover g.
+
+    Reads g's index over c's vertices and inverts the result, as
+    verify_realizer does; no rank dict is built.
+    """
+    order = [g._index.get(v) for v in c.order]
+    # a chain's vertices are distinct, so it covers g when all n are in g
+    if len(order) != len(g) or None in order:
         raise VertexSetMismatchError(
             "chain does not cover exactly the digraph's vertex set"
         )
-    return [rank[v] for v in g.vertices]
+    return _inverse(order)
 
 
 def is_linear_extension(c: Chain, g: Digraph) -> bool:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .graphs import Digraph, Vertex, _inverse, _resolved
 from .realizers import (
@@ -146,12 +146,13 @@ def graph_from_json(text: str) -> Digraph:
         if not isinstance(item, list) or len(item) != 2:
             raise FormatError(f"expected an arc as [tail, head], got {item!r}")
         faults.append((_json_vertex_key(item[0]), _json_vertex_key(item[1])))
-    # _build raises the first fault only after its duplicate-vertex check
-    resolved = chain(arcs, _resolved(index, faults, lambda key: Vertex(*key)))
     try:
-        return Digraph._from_index_arcs([Vertex(*key) for key in keys], resolved)
+        # the duplicate-vertex check comes first, then the first fault
+        g = Digraph._from_index_arcs([Vertex(*key) for key in keys], arcs)
+        _resolved(index, faults[:1], lambda key: Vertex(*key), g.vertices)
     except ValueError as err:
         raise FormatError(str(err)) from None
+    return g
 
 
 def _level_order(g: Digraph) -> list[int]:
@@ -184,6 +185,19 @@ def graph_to_edgelist(g: Digraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _chunks(text: str, size: int = 1 << 16) -> Iterator[str]:
+    """Slices of text of about ``size`` characters, each cut after a newline.
+
+    A newline always ends a line, so the slices' ``splitlines`` list
+    the lines of ``text.splitlines()`` without holding them all at once.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + size) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
 def graph_from_edgelist(text: str) -> Digraph:
     """Parse the edge list format.
 
@@ -191,39 +205,46 @@ def graph_from_edgelist(text: str) -> Digraph:
     end of the line.  A line is either 'tail -> head' or a single bare
     vertex.  Vertices are registered in first-appearance order; tokens
     that parse to the same position and level, such as '1,2', '1, 2'
-    and '01,2', name the same vertex.
+    and '01,2', name the same vertex.  Each token is cached as read,
+    whitespace included (such as '18,10 '), so an arc line whose tokens
+    were met before costs one ``partition`` and two dict hits.  Lines
+    are split at '#' only when the text holds one, and only one chunk's
+    lines (``_chunks``) are held at a time.
     """
     index: dict[tuple[int, int], int] = {}
-    seen_text: dict[str, int] = {}  # skips parsing a token met before
+    cache: dict[str, int] = {}  # each token, as read and stripped, to its vertex
     vertices: list[Vertex] = []
     arcs: list[tuple[int, int]] = []
 
-    def register(token: str) -> int:  # a token not met before
-        key = _vertex_key(token)
-        i = index.get(key)
+    def lookup(token: str) -> int:  # a token not met before as read
+        name = token.strip()
+        i = cache.get(name)
         if i is None:
-            vertices.append(_text_vertex(key, token))
-            i = index[key] = len(index)
-        seen_text[token] = i
+            key = _vertex_key(name)
+            i = index.get(key)
+            if i is None:
+                vertices.append(_text_vertex(key, name))
+                i = index[key] = len(index)
+            cache[name] = i
+        cache[token] = i
         return i
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    lines = chain.from_iterable(map(str.splitlines, _chunks(text)))
+    if "#" in text:
+        lines = (line.split("#", 1)[0] for line in lines)
+    for lineno, line in enumerate(lines, start=1):
         lhs, arrow, rhs = line.partition("->")
         try:
             if arrow:
-                lhs, rhs = lhs.strip(), rhs.strip()
-                t = seen_text.get(lhs)
+                t = cache.get(lhs)
                 if t is None:
-                    t = register(lhs)
-                h = seen_text.get(rhs)
+                    t = lookup(lhs)
+                h = cache.get(rhs)
                 if h is None:
-                    h = register(rhs)
+                    h = lookup(rhs)
                 arcs.append((t, h))
-            elif line not in seen_text:
-                register(line)
+            elif line not in cache and line.strip():
+                lookup(line)
         except FormatError as err:
             raise FormatError(f"line {lineno}: {err}") from None
     try:
@@ -259,9 +280,13 @@ def render_graph(g: Digraph, fmt: str) -> str:
 
 
 def graph_from_text(text: str) -> Digraph:
-    """Parse a graph from text, sniffing JSON versus edge list."""
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    """Parse a graph from text, sniffing JSON versus edge list.
+
+    One leading byte order mark (U+FEFF) is dropped first.
+    """
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    if text.lstrip().startswith("{"):
         return graph_from_json(text)
     return graph_from_edgelist(text)
 

@@ -8,6 +8,7 @@ check.
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from collections import deque
 
@@ -21,6 +22,7 @@ from cobwebs import (
     build_cobweb,
     transitive_reduction,
 )
+from cobwebs.serialization import FormatError
 
 
 def v(position: int, level: int = 0) -> Vertex:
@@ -272,3 +274,164 @@ def two_dimensional_order(
         vertices += a + b
         arcs += [(a[i], b[j]) for i in range(3) for j in range(3) if i != j]
     return Digraph(vertices, arcs)
+
+
+def _reference_digraph(vs: tuple[Vertex, ...], arcs) -> Digraph:
+    """Digraph's fields as its old ``_build`` set them, from lazily read index arcs.
+
+    One set lookup and one add per arc; a loop raises when it is read,
+    so a fault that a lazy ``arcs`` raises later is never reached.
+    """
+    index = {u: i for i, u in enumerate(vs)}
+    if len(index) != len(vs):
+        seen = set()
+        for u in vs:
+            if u in seen:
+                raise ValueError(f"duplicate vertex {u}")
+            seen.add(u)
+    succ = [[] for _ in vs]
+    seen_arcs = set()
+    kept = []
+    for arc in arcs:
+        t, h = arc
+        if t == h:
+            raise ValueError(f"loop at {vs[t]}")
+        if arc in seen_arcs:
+            continue
+        seen_arcs.add(arc)
+        succ[t].append(h)
+        kept.append(arc)
+    g = Digraph.__new__(Digraph)
+    g.vertices, g._index, g._succ, g._arc_index = vs, index, succ, kept
+    return g
+
+
+def reference_from_index_arcs(vertices, arcs) -> Digraph:
+    """``Digraph._from_index_arcs`` with the old per-arc set."""
+    return _reference_digraph(tuple(vertices), arcs)
+
+
+def reference_digraph(vertices, arcs) -> Digraph:
+    """The public ``Digraph(vertices, arcs)`` with its old lazy resolution.
+
+    Each arc is resolved as the build reads it, so an unknown endpoint
+    and a loop raise in the order that they are listed.
+    """
+    vs = tuple(vertices)
+    index = {u: i for i, u in enumerate(vs)}
+
+    def resolved():
+        for tail, head in arcs:
+            t, h = index.get(tail), index.get(head)
+            if t is None or h is None:
+                unknown = tail if t is None else head
+                raise ValueError(f"arc endpoint {unknown} is not a vertex")
+            yield t, h
+
+    return _reference_digraph(vs, resolved())
+
+
+def _reference_key(text: str) -> tuple[int, int]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise FormatError(f"expected a vertex as 'position,level', got {text!r}")
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError as err:
+        raise FormatError(f"invalid vertex {text!r}: {err}") from None
+
+
+def _reference_vertex(key: tuple[int, int], text: str) -> Vertex:
+    try:
+        return Vertex(*key)
+    except ValueError as err:
+        raise FormatError(f"invalid vertex {text!r}: {err}") from None
+
+
+def reference_graph_from_edgelist(text: str) -> Digraph:
+    """The edge-list reader as it was: every line split at '#' and stripped.
+
+    Tokens are cached only once stripped, and the arcs go through the
+    old per-arc set of ``reference_from_index_arcs``.
+    """
+    index: dict[tuple[int, int], int] = {}
+    seen_text: dict[str, int] = {}
+    vertices: list[Vertex] = []
+    arcs: list[tuple[int, int]] = []
+
+    def register(token: str) -> int:
+        key = _reference_key(token)
+        i = index.get(key)
+        if i is None:
+            vertices.append(_reference_vertex(key, token))
+            i = index[key] = len(index)
+        seen_text[token] = i
+        return i
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        lhs, arrow, rhs = line.partition("->")
+        try:
+            if arrow:
+                lhs, rhs = lhs.strip(), rhs.strip()
+                t = seen_text.get(lhs)
+                if t is None:
+                    t = register(lhs)
+                h = seen_text.get(rhs)
+                if h is None:
+                    h = register(rhs)
+                arcs.append((t, h))
+            elif line not in seen_text:
+                register(line)
+        except FormatError as err:
+            raise FormatError(f"line {lineno}: {err}") from None
+    try:
+        return reference_from_index_arcs(vertices, arcs)
+    except ValueError as err:
+        raise FormatError(str(err)) from None
+
+
+def _reference_json_vertex(item) -> Vertex:
+    if (
+        not isinstance(item, list)
+        or len(item) != 2
+        or not all(type(x) is int for x in item)
+    ):
+        raise FormatError(f"expected a vertex as [position, level], got {item!r}")
+    try:
+        return Vertex(item[0], item[1])
+    except ValueError as err:
+        raise FormatError(str(err)) from None
+
+
+def reference_graph_from_json(text: str) -> Digraph:
+    """The JSON reader's order of checks, on ``reference_digraph``.
+
+    Every vertex and arc is checked for shape first, then the vertex
+    list for duplicates, then each arc, in order, for an unknown
+    endpoint or a loop.
+    """
+    try:
+        payload = json.loads(text)
+    except (ValueError, RecursionError) as err:
+        raise FormatError(f"invalid JSON: {err}") from None
+    if not isinstance(payload, dict):
+        raise FormatError("expected a JSON object with 'vertices' and 'arcs'")
+    if "vertices" not in payload or "arcs" not in payload:
+        raise FormatError("graph JSON needs both 'vertices' and 'arcs'")
+    if not isinstance(payload["vertices"], list) or not isinstance(
+        payload["arcs"], list
+    ):
+        raise FormatError("'vertices' and 'arcs' must be lists")
+    vertices = [_reference_json_vertex(item) for item in payload["vertices"]]
+    arcs = []
+    for item in payload["arcs"]:
+        if not isinstance(item, list) or len(item) != 2:
+            raise FormatError(f"expected an arc as [tail, head], got {item!r}")
+        arcs.append((_reference_json_vertex(item[0]), _reference_json_vertex(item[1])))
+    try:
+        return reference_digraph(vertices, arcs)
+    except ValueError as err:
+        raise FormatError(str(err)) from None

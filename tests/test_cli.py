@@ -19,7 +19,7 @@ from cobwebs.cli import (
     EXIT_OK,
     main,
 )
-from cobwebs import cli
+from cobwebs import FibonacciSequence, build_cobweb, cli
 from cobwebs.serialization import graph_to_edgelist, graph_to_json
 
 from helpers import (
@@ -390,6 +390,21 @@ class TestFileErrors:
             code, out, err = run([*argv, "--output", str(target)], capsys=capsys)
             assert (code, out) == (EXIT_BAD_INPUT, "")
             assert err.startswith(f"error: cannot write {target}: ")
+
+
+class TestByteOrderMark:
+    """A file that starts with U+FEFF reads as the same file without it."""
+
+    @pytest.mark.parametrize("emit", [graph_to_json, graph_to_edgelist], ids=["json", "edgelist"])
+    def test_check_and_realize(self, emit, capsys, tmp_path):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        text = emit(build_cobweb(FibonacciSequence(), 4).hasse)
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        for command in ("check", "realize"):
+            expected = run([command, "--input", str(plain)], capsys=capsys)
+            assert expected[0] == EXIT_OK
+            assert run([command, "--input", str(marked)], capsys=capsys) == expected
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")

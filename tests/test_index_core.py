@@ -560,7 +560,7 @@ def chains_by_caller(g: Digraph) -> dict[str, list[Chain]]:
     """Chains of an orderable g from each caller that leaves their ranks unbuilt."""
     r = decide_orderable(g).realizer
     w = brute_force_dim_le_2(FinitePoset.from_digraph(g)).witness
-    x = decide_orderable(g).realizer.first  # conjugate_chain reads its ranks
+    x = decide_orderable(g).realizer.first
     return {
         "decide": [r.first, r.second],
         "conjugate": [conjugate_chain(x, g)],
@@ -620,6 +620,25 @@ class TestLazilyRankedChains:
                         lazy = read(unranked(c), unranked(d))
                         eager = read(Chain(c.order), Chain(d.order))
                         assert lazy == eager, (caller, name)
+
+    @settings(max_examples=150, deadline=None)
+    @given(shuffled_dags())
+    def test_position_readers_build_no_ranks(self, case):
+        g, rng = case
+        (x,) = iter_topological_orders(g, limit=1)
+        shuffled = list(g.vertices)
+        rng.shuffle(shuffled)
+        for c in (x, Chain._permuted(shuffled, range(len(g)))):
+            assert _chain_positions(c, g) == [Chain(c.order).rank(u) for u in g.vertices]
+            is_linear_extension(c, g)
+            is_admissible(c, g)
+            outcome(conjugate_chain, c, g)
+            assert not ranks_built(c)
+        message = "^chain does not cover exactly the digraph's vertex set$"
+        others = [x.order[1:], x.order + (Vertex(1, 99),), x.order[1:] + (Vertex(1, 99),)]
+        for order in others if len(g) else others[1:]:
+            with pytest.raises(VertexSetMismatchError, match=message):
+                _chain_positions(Chain._permuted(order, range(len(order))), g)
 
     def test_public_chain_rejects_a_repeat_when_built(self):
         with pytest.raises(ValueError, match="^chain repeats a vertex$"):
