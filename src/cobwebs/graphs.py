@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 from itertools import islice
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 __all__ = [
     "Arc",
@@ -108,7 +108,7 @@ class Digraph:
     def __init__(self, vertices: Iterable[Vertex], arcs: Iterable[Arc] = ()) -> None:
         vs = tuple(vertices)
         index = _vertex_index(vs)
-        self._build(vs, index, _resolved(index, arcs, str, vs))
+        self._build(vs, index, _resolved(index, arcs, vs))
 
     @classmethod
     def _from_index_arcs(
@@ -219,23 +219,22 @@ def _vertex_index(vs: tuple[Vertex, ...]) -> dict[Vertex, int]:
 
 
 def _resolved(
-    index: dict[Any, int],
-    arcs: Iterable[tuple[Any, Any]],
-    name: Callable[[Any], Any],
+    index: dict[Vertex, int],
+    arcs: Iterable[Arc],
     vs: Sequence[Vertex] | None = None,
 ) -> list[tuple[int, int]]:
     """The arcs as a list of index pairs, resolved through ``index`` in input order.
 
-    An unknown endpoint, tail before head, raises ValueError with
-    ``name`` formatting its key.  Given the vertices ``vs``, a loop
-    raises too, so the first of either fault decides the message.
+    An unknown endpoint, tail before head, raises ValueError.  Given
+    the vertices ``vs``, a loop raises too, so the first of either
+    fault decides the message.
     """
     out = []
     for tail, head in arcs:
         t, h = index.get(tail), index.get(head)
         if t is None or h is None:
             unknown = tail if t is None else head
-            raise ValueError(f"arc endpoint {name(unknown)} is not a vertex")
+            raise ValueError(f"arc endpoint {unknown} is not a vertex")
         if t == h and vs is not None:
             raise ValueError(f"loop at {vs[t]}")
         out.append((t, h))
@@ -263,7 +262,7 @@ class Relation:
         vs = tuple(vertices)
         index = _vertex_index(vs)
         masks = [0] * len(vs)
-        for i, j in _resolved(index, pairs, str):
+        for i, j in _resolved(index, pairs):
             masks[i] |= 1 << j
         self.vertices, self._masks, self._index = vs, tuple(masks), index
 

@@ -7,7 +7,7 @@ second reverses every incomparable pair of the first, so each extension
 has one possible partner, and the pair search looks that partner up
 among all extensions; a third one is found by an acyclicity test.
 
-``FinitePoset`` builds its order as bitmasks once, on validation, and
+``FinitePoset`` keeps its order as the bitmasks of a ``Relation``, and
 every routine here reads them; it enumerates its extensions once and
 keeps them, so the pair search and ``order_dimension`` share one
 enumeration.  ``enumerate_linear_extensions`` runs the
@@ -25,14 +25,14 @@ from itertools import product
 from typing import Iterator
 
 from .graphs import (
-    Arc,
     Chain,
     CheckResult,
     Digraph,
+    Relation,
     Vertex,
     _iter_bits,
-    _reach_bits,
     iter_topological_orders,
+    reachability,
 )
 from .realizers import Realizer
 
@@ -73,56 +73,29 @@ def _check_size(n: int, limit: int, guard: str) -> None:
 class FinitePoset:
     """An explicit strict partial order on a tuple of elements.
 
-    Containment of all pair endpoints in ``elements``, then the order
-    axioms (irreflexivity, antisymmetry, transitivity) are validated in
-    that order on construction.  A failure names the first violation in
-    element order; for non-elements, the least offending pair in vertex
-    order.  The extension pair masks are computed on first use and kept
-    for the poset's lifetime, outside the dataclass fields: up to 9!
-    masks at the pair-search guard while the poset is alive.
+    ``strict`` is kept as a Relation over ``elements``: n**2 / 8 bytes
+    of masks, with ``pairs`` building the vertex pairs on read.  A
+    Relation over the same tuple is kept as given; any other set of
+    pairs is sorted and resolved by the Relation constructor, which
+    rejects duplicate elements, then the least pair with an endpoint
+    outside ``elements``, with its messages.  The order axioms
+    (irreflexivity, antisymmetry, transitivity) are then validated in
+    that order, a failure naming the first violation in element order.
+    The extension pair masks are computed on first use and kept for the
+    poset's lifetime, outside the dataclass fields: up to 9! masks at
+    the pair-search guard while the poset is alive.
     """
 
     elements: tuple[Vertex, ...]
-    strict: frozenset[Arc]
-    # bit i of _pred[j] (and bit j of _succ[i]): elements[i] < elements[j]
+    strict: Relation
+    # bit i of _pred[j] (and bit j of strict._masks[i]): elements[i] < elements[j]
     _pred: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    _succ: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        elements = tuple(self.elements)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "strict", frozenset(self.strict))
-        idx = {e: i for i, e in enumerate(elements)}
-        if len(idx) != len(elements):
-            raise ValueError("duplicate elements")
-        succ = [0] * len(elements)
-        for a, b in self.strict:
-            i, j = idx.get(a), idx.get(b)
-            if i is None or j is None:
-                bad = (p for p in self.strict if p[0] not in idx or p[1] not in idx)
-                a, b = min(bad)
-                raise ValueError(f"pair ({a}, {b}) uses a non-element")
-            succ[i] |= 1 << j
-        self._set_order(succ)
-
-    @classmethod
-    def _from_masks(cls, elements: tuple[Vertex, ...], succ: list[int]) -> FinitePoset:
-        """The poset with elements[i] < elements[j] where bit j of succ[i] is set.
-
-        The elements must be distinct.  The order axioms are checked as
-        by the pair constructor, and ``strict`` is built from the masks.
-        """
-        p = cls.__new__(cls)
-        rows = enumerate(succ)
-        strict = ((elements[i], elements[j]) for i, m in rows for j in _iter_bits(m))
-        object.__setattr__(p, "elements", elements)
-        object.__setattr__(p, "strict", frozenset(strict))
-        p._set_order(succ)
-        return p
-
-    def _set_order(self, succ: list[int]) -> None:
-        """Check the order axioms on succ, then keep it and its transpose."""
-        elements = self.elements
+        elements, strict = tuple(self.elements), self.strict
+        if not (isinstance(strict, Relation) and strict.vertices == elements):
+            strict = Relation(elements, sorted(strict))
+        succ = strict._masks
         pred = [0] * len(succ)
         for i, above in enumerate(succ):
             for j in _iter_bits(above):
@@ -144,17 +117,19 @@ class FinitePoset:
                         f"strict order is not transitive: {a} < {b} < {c} "
                         f"but not {a} < {c}"
                     )
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "strict", strict)
         object.__setattr__(self, "_pred", tuple(pred))
-        object.__setattr__(self, "_succ", tuple(succ))
 
     @classmethod
     def from_digraph(cls, g: Digraph) -> FinitePoset:
         """The poset whose strict order is the reachability of g."""
-        return cls._from_masks(g.vertices, _reach_bits(g)[0])
+        return cls(g.vertices, reachability(g))
 
     def strict_digraph(self) -> Digraph:
         """The strict order as a digraph, arcs in element order."""
-        arcs = [(i, j) for i, row in enumerate(self._succ) for j in _iter_bits(row)]
+        rows = enumerate(self.strict._masks)
+        arcs = [(i, j) for i, row in rows for j in _iter_bits(row)]
         return Digraph._from_index_arcs(self.elements, arcs)
 
     def __len__(self) -> int:
@@ -196,7 +171,7 @@ def _extension_pair_masks(p: FinitePoset) -> tuple[list[int], int, int]:
     for as long as the poset lives.
     """
     n = len(p)
-    pred, succ = p._pred, p._succ
+    pred, succ = p._pred, p.strict._masks
     full = (1 << n) - 1
     larger = {full: [0]}  # the suffix masks of each down-set one larger
     for _ in range(n):
@@ -291,11 +266,11 @@ def order_dimension(p: FinitePoset, max_k: int = 3) -> int | None:
     order stays acyclic with them reversed.  Refuses posets beyond
     MAX_DIMENSION_SIZE elements, which admits S4 (dimension 4).
     """
-    if not 1 <= max_k <= 3:
+    if max_k not in (1, 2, 3):
         raise ValueError(f"max_k must be 1, 2 or 3, got {max_k}")
     n = len(p)
     _check_size(n, MAX_DIMENSION_SIZE, "dimension")
-    if sum(m.bit_count() for m in p._succ) == n * (n - 1) // 2:
+    if len(p.strict) == n * (n - 1) // 2:
         return 1
     if max_k == 1:
         return None
@@ -304,7 +279,7 @@ def order_dimension(p: FinitePoset, max_k: int = 3) -> int | None:
         return 2
     if max_k == 2:
         return None
-    pred, succ = p._pred, p._succ
+    pred, succ = p._pred, p.strict._masks
     critical = sum(  # incomparable, below(a) <= below(b), above(b) <= above(a)
         1 << (a * n + b)
         for a, b in product(range(n), repeat=2)

@@ -129,7 +129,7 @@ def graph_from_json(text: str) -> Digraph:
     keys = [_json_vertex_key(item) for item in payload["vertices"]]
     index = {key: i for i, key in enumerate(keys)}
     arcs: list[tuple[int, int]] = []
-    faults = []  # arcs with an unknown endpoint or a loop, in order
+    fault: list[tuple[Vertex, Vertex]] = []  # first arc with an unknown end or a loop
     for item in payload["arcs"]:
         # Among JSON values only a 2-list of two 2-lists of ints unpacks
         # to four ints, so a well-formed arc costs no call.
@@ -145,11 +145,12 @@ def graph_from_json(text: str) -> Digraph:
                     continue
         if not isinstance(item, list) or len(item) != 2:
             raise FormatError(f"expected an arc as [tail, head], got {item!r}")
-        faults.append((_json_vertex_key(item[0]), _json_vertex_key(item[1])))
+        tail, head = _json_vertex_key(item[0]), _json_vertex_key(item[1])
+        fault = fault or [(Vertex(*tail), Vertex(*head))]
     try:
         # the duplicate-vertex check comes first, then the first fault
         g = Digraph._from_index_arcs([Vertex(*key) for key in keys], arcs)
-        _resolved(index, faults[:1], lambda key: Vertex(*key), g.vertices)
+        _resolved(g._index, fault, g.vertices)
     except ValueError as err:
         raise FormatError(str(err)) from None
     return g

@@ -223,7 +223,7 @@ def reference_extension_pair_masks(p: FinitePoset) -> tuple[list[int], int, int]
             mask ^= low
 
     n = len(p)
-    pred, succ = p._pred, p._succ
+    pred, succ = p._pred, p.strict._masks
     full = (1 << n) - 1
     larger = {full: [0]}  # the suffix masks of each down-set one larger
     for _ in range(n):

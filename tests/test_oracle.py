@@ -15,6 +15,7 @@ from cobwebs import (
     ConstantSequence,
     Digraph,
     FinitePoset,
+    Relation,
     TooLargeError,
     brute_force_dim_le_2,
     build_cobweb,
@@ -172,11 +173,11 @@ class TestFinitePoset:
         assert str(info.value) == message
 
     def test_rejects_duplicate_elements(self):
-        with pytest.raises(ValueError, match="^duplicate elements$"):
+        with pytest.raises(ValueError, match="^duplicate vertex 1,0$"):
             FinitePoset((v(1), v(2), v(1)), frozenset())
 
     def test_rejects_foreign_elements(self):
-        with pytest.raises(ValueError, match="non-element"):
+        with pytest.raises(ValueError, match="^arc endpoint 9,0 is not a vertex$"):
             FinitePoset(tuple(row(2)), frozenset([(v(1), v(9))]))
 
     @pytest.mark.parametrize("reverse", [False, True], ids=["built", "reversed"])
@@ -185,15 +186,15 @@ class TestFinitePoset:
         built = pairs[::-1] if reverse else pairs
         with pytest.raises(ValueError) as info:
             FinitePoset(tuple(row(2)), frozenset(built))
-        assert str(info.value) == "pair (1,0, 9,0) uses a non-element"
+        assert str(info.value) == "arc endpoint 9,0 is not a vertex"
 
     def test_from_digraph_takes_reachability(self):
         g = graph_on(3, [(0, 1), (1, 2)])
-        assert poset_of(g).strict == reachability(g).pairs
+        assert poset_of(g).strict == reachability(g)
 
     def test_strict_digraph_round_trip(self):
         p = poset_of(graph_on(4, [(0, 1), (1, 2), (0, 3)]))
-        assert reachability(p.strict_digraph()).pairs == p.strict
+        assert reachability(p.strict_digraph()) == p.strict
 
     def test_strict_digraph_arcs_in_element_order(self):
         elements = (v(4), v(2), v(1), v(3))
@@ -228,18 +229,31 @@ def dags_up_to_9(draw):
 
 
 class TestMaskConstructor:
-    """FinitePoset's mask constructor, behind from_digraph, against the pair one."""
+    """FinitePoset over a mask-built Relation, as from_digraph's, against pairs."""
 
     @settings(max_examples=60, deadline=None)
     @given(dags_up_to_9())
     def test_same_poset_as_from_pairs(self, g):
-        got = FinitePoset._from_masks(g.vertices, _reach_bits(g)[0])
+        reach = Relation._from_masks(g.vertices, _reach_bits(g)[0], g._index)
+        got = FinitePoset(g.vertices, reach)
         want = FinitePoset(g.vertices, frozenset(bfs_pairs(g)))
         assert (got.elements, got.strict) == (want.elements, want.strict)
-        assert (got._pred, got._succ) == (want._pred, want._succ)
+        assert got.strict.pairs == frozenset(bfs_pairs(g))
+        assert (got._pred, got.strict._masks) == (want._pred, want.strict._masks)
         assert got == want and hash(got) == hash(want)
         assert poset_of(g) == got
+        assert poset_of(g).strict == reachability(g)
         assert repr(poset_of(g)) == repr(FinitePoset(g.vertices, reachability(g).pairs))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dags_up_to_9(), st.data())
+    def test_relation_over_permuted_vertices_reads_as_its_pairs(self, g, data):
+        permuted = Relation(data.draw(st.permutations(g.vertices)), bfs_pairs(g))
+        got = FinitePoset(g.vertices, permuted)
+        want = FinitePoset(g.vertices, permuted.pairs)
+        assert got == want and hash(got) == hash(want)
+        assert (got.strict, got._pred) == (want.strict, want._pred)
+        assert got.strict == reachability(g)
 
     @pytest.mark.parametrize(
         "succ, message",
@@ -258,8 +272,9 @@ class TestMaskConstructor:
     )
     def test_planted_bad_masks_give_the_pair_constructors_message(self, succ, message):
         elements = tuple(row(4))
+        index = {e: i for i, e in enumerate(elements)}
         with pytest.raises(ValueError) as info:
-            FinitePoset._from_masks(elements, succ)
+            FinitePoset(elements, Relation._from_masks(elements, succ, index))
         assert str(info.value) == message
         pairs = [
             (a, b)
@@ -372,7 +387,7 @@ class TestBruteForceDimLe2:
         p = cobweb_poset(fib_cobweb(4))
         r = brute_force_dim_le_2(p).witness
         diagonal = {(e, e) for e in p.elements}
-        assert intersect_chains(r.first, r.second).pairs == p.strict | diagonal
+        assert intersect_chains(r.first, r.second).pairs == p.strict.pairs | diagonal
 
     def test_standard_3d_poset_fails(self):
         assert not brute_force_dim_le_2(standard_3d_poset())
@@ -421,6 +436,11 @@ class TestOrderDimension:
             order_dimension(p, max_k=0)
         with pytest.raises(ValueError):
             order_dimension(p, max_k=4)
+        # S3+1 has dimension 3, which a max_k below 3 must never return
+        for max_k in (0.5, 1.5, 2.5, 3.5):
+            with pytest.raises(ValueError) as info:
+                order_dimension(s3_plus(1), max_k)
+            assert str(info.value) == f"max_k must be 1, 2 or 3, got {max_k}"
 
     def test_size_guard(self):
         p = poset_of(graph_on(9, []))
@@ -559,7 +579,6 @@ class TestExtensionsOncePerPoset:
             ("elements", True, True, True),
             ("strict", True, True, True),
             ("_pred", False, False, False),
-            ("_succ", False, False, False),
         ]
         p = self.seeded_dimension_2()
         brute_force_dim_le_2(p)
