@@ -82,7 +82,7 @@ def _write_text(text: str, path: str | None) -> None:
 def _load_graph(args: argparse.Namespace) -> Digraph:
     """The cobweb that --seq (gen: SEQSPEC) names, else the --input graph."""
     if args.seq is None:
-        return graph_from_text(_read_text(args.input))
+        return graph_from_text(_read_text("-" if args.input is None else args.input))
     if args.max_level is None:
         raise _CliError("--max-level is required with --seq")
     sequence = parse_sequence_spec(args.seq)
@@ -152,12 +152,19 @@ def _cmd_export(args: argparse.Namespace) -> int:
 
 
 def _add_input_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
+    """--input and --seq, which exclude each other, and --max-level.
+
+    --input defaults to None, not '-': argparse skips the exclusion
+    check for a value that is the default object itself, and '-' is
+    interned, so '--input -' would pass with --seq.
+    """
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument(
         "--input",
-        default="-",
+        default=None,
         help="graph file (JSON or edge list, sniffed); '-' reads stdin (default)",
     )
-    parser.add_argument(
+    source.add_argument(
         "--seq",
         default=None,
         metavar="SEQSPEC",

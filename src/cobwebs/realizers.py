@@ -30,6 +30,7 @@ from .graphs import (
     Relation,
     Vertex,
     VertexSetMismatchError,
+    _above_masks,
     _admissibility_witness,
     _along,
     _chain_positions,
@@ -180,22 +181,6 @@ def verify_realizer(r: Realizer) -> CheckResult:
     return CheckResult(True)
 
 
-def _above_masks(
-    succ: list[list[int]], order: Sequence[int], pos_of: Sequence[int]
-) -> list[int]:
-    """Per position p along a linear extension, the positions from which p is reachable.
-
-    ``order`` lists the extension's vertex indices and ``pos_of`` is its
-    inverse; one forward pass over the arcs.
-    """
-    above = [0] * len(order)
-    for p, i in enumerate(order):
-        mask = above[p] | (1 << p)
-        for j in succ[i]:
-            above[pos_of[j]] |= mask
-    return above
-
-
 def _conjugate_scores(reach: list[int], above: list[int]) -> list[int]:
     """Per position p along a linear extension, how many positions p beats in its conjugate.
 
@@ -310,25 +295,23 @@ def _orient_incomparability(reach: list[int], above: list[int]) -> list[int] | N
 
 
 def _realizer_positions(
-    succ: list[list[int]], first: list[int], pos_of: list[int], reach: list[int]
+    reach: list[int], above: list[int]
 ) -> tuple[list[int], list[int]] | None:
     """Both chains of a realizer as positions along Kahn's order, or None if none exists.
 
-    ``first`` is Kahn's order, ``pos_of`` its inverse and ``reach`` the
-    reach masks in its positions.  The chains are P ∪ T and P ∪ T⁻¹ for
-    a transitive orientation T of the incomparability graph; with
-    ``out`` T's out-degrees, they list the positions by falling
-    |reach| + out and n - 1 - |above| - out.  Kahn's order is tried
-    first (``out``: its incomparable positions after p), and is P ∪ T
-    exactly when the second key, its conjugate's score, takes n values.
-    Every cobweb takes that exit, which saves _orient_incomparability:
-    the levels of a cobweb are cliques of the incomparability graph, in
-    which every pair would be an implication class of its own.  The
-    pair is verified against ``reach``, which does not depend on T, and
-    AssertionError is raised if it fails.
+    ``reach`` and ``above`` are _along's masks in Kahn's positions.  The
+    chains are P ∪ T and P ∪ T⁻¹ for a transitive orientation T of the
+    incomparability graph; with ``out`` T's out-degrees, they list the
+    positions by falling |reach| + out and n - 1 - |above| - out.
+    Kahn's order is tried first (``out``: its incomparable positions
+    after p), and is P ∪ T exactly when the second key, its conjugate's
+    score, takes n values.  Every cobweb takes that exit, which saves
+    _orient_incomparability: the levels of a cobweb are cliques of the
+    incomparability graph, in which every pair would be an implication
+    class of its own.  The pair is verified against ``reach``, which
+    does not depend on T, and AssertionError is raised if it fails.
     """
-    n = len(first)
-    above = _above_masks(succ, first, pos_of)
+    n = len(reach)
     if len(set(_conjugate_scores(reach, above))) == n:
         out = [n - 1 - p - r.bit_count() for p, r in enumerate(reach)]
     else:
@@ -348,13 +331,13 @@ def _check_graph(g: Digraph) -> tuple[CheckResult, CheckResult]:
     """Regularity of g, and whether it has an admissible linear extension.
 
     Both read one analysis, _along: regularity its redundant-head
-    masks, the extension search its reach masks.  When no admissible
-    extension exists the witness is the first forbidden triple of
-    Kahn's order.  Raises CyclicInputError for cyclic g.
+    masks, the extension search its reach and above masks.  When no
+    admissible extension exists the witness is the first forbidden
+    triple of Kahn's order.  Raises CyclicInputError for cyclic g.
     """
-    first, pos_of, reach, red = _along(g)
+    first, pos_of, reach, red, above = _along(g)
     admissible = CheckResult(True)
-    if _realizer_positions(g._succ, first, pos_of, reach) is None:
+    if _realizer_positions(reach, above) is None:
         hit = _admissibility_witness(reach)
         admissible = CheckResult(False, tuple(g.vertices[first[p]] for p in hit))
     return _regularity(g, pos_of, red), admissible
@@ -367,8 +350,8 @@ def _dimension_up_to_2(g: Digraph) -> int | None:
     two chains coincide.  g need not be regular; raises
     CyclicInputError for cyclic g.
     """
-    first, pos_of, reach, _ = _along(g)
-    chains = _realizer_positions(g._succ, first, pos_of, reach)
+    _, _, reach, _, above = _along(g)
+    chains = _realizer_positions(reach, above)
     if chains is None:
         return None
     return 1 if chains[0] == chains[1] else 2
@@ -387,11 +370,11 @@ def decide_orderable(g: Digraph) -> OrderabilityVerdict:
 
     Raises CyclicInputError for cyclic input.
     """
-    first, pos_of, reach, red = _along(g)
+    first, pos_of, reach, red, above = _along(g)
     regular = _regularity(g, pos_of, red)
     if not regular:
         return NotRegular(regular.witness)
-    chains = _realizer_positions(g._succ, first, pos_of, reach)
+    chains = _realizer_positions(reach, above)
     if chains is None:
         return NoAdmissibleChain()
     x, y = (Chain._permuted(g.vertices, map(first.__getitem__, c)) for c in chains)

@@ -110,14 +110,31 @@ def graph_to_json(g: Digraph) -> str:
 def graph_from_json(text: str) -> Digraph:
     """Parse the JSON format straight into vertex indices.
 
-    Every vertex and arc is checked for shape first, then the vertex
-    list for duplicates (before any arc is resolved), then each arc for
-    unknown endpoints and loops.
+    A key repeated in the top-level object is rejected, not resolved to
+    its last value.  Every vertex and arc is checked for shape first,
+    then the vertex list for duplicates (before any arc is resolved),
+    then each arc for unknown endpoints and loops.
     """
+    repeats: list[tuple[dict[str, Any], str]] = []  # objects that repeat a key
+
+    def keep_pairs(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen: set[str] = set()
+            for key, _ in pairs:
+                if key in seen:
+                    repeats.append((obj, key))
+                    break
+                seen.add(key)
+        return obj
+
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=keep_pairs)
     except (ValueError, RecursionError) as err:  # JSONDecodeError is a ValueError
         raise FormatError(f"invalid JSON: {err}") from None
+    # the top-level object is the last to close
+    if repeats and repeats[-1][0] is payload:
+        raise FormatError(f"duplicate key {repeats[-1][1]!r}")
     if not isinstance(payload, dict):
         raise FormatError("expected a JSON object with 'vertices' and 'arcs'")
     if "vertices" not in payload or "arcs" not in payload:

@@ -150,6 +150,24 @@ class TestCheck:
         assert code == EXIT_BAD_INPUT
         assert "--max-level" in err
 
+    @pytest.mark.parametrize("command", ["check", "realize", "dim", "export"])
+    @pytest.mark.parametrize("source", ["missing.json", "-"])
+    def test_seq_and_input_exclude_each_other(self, command, source, capsys):
+        argv = [command, "--seq", "const:2", "--max-level", "1", "--input", source]
+        for order in (argv, [command, "--input", source] + argv[1:5]):
+            with pytest.raises(SystemExit) as exc:
+                main(order)
+            assert exc.value.code == EXIT_BAD_INPUT
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"usage: cobwebs {command} ")
+            assert "not allowed with argument" in err
+
+    def test_duplicate_json_key_exits_2(self, capsys, monkeypatch):
+        text = '{"vertices": [[1,0]], "arcs": [], "vertices": []}'
+        code, out, err = run(["check"], stdin=text, capsys=capsys, monkeypatch=monkeypatch)
+        assert (code, out, err) == (EXIT_BAD_INPUT, "", "error: duplicate key 'vertices'\n")
+
     def test_shortcut_arc_fails_regularity(self, capsys, monkeypatch):
         text = graph_to_edgelist(graph_on(3, [(0, 1), (1, 2), (0, 2)]))
         code, out, _ = run(["check"], stdin=text, capsys=capsys, monkeypatch=monkeypatch)

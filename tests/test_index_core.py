@@ -27,6 +27,7 @@ from cobwebs import (
     CheckResult,
     ConjugateCycleError,
     ConstantSequence,
+    CyclicInputError,
     Digraph,
     FinitePoset,
     NoAdmissibleChain,
@@ -49,8 +50,17 @@ from cobwebs import (
     transitive_reduction,
     verify_realizer,
 )
-from cobwebs import realizers
-from cobwebs.graphs import _along, _chain_positions, _inverse, _position_reach
+from cobwebs import graphs, parse_sequence_spec, realizers
+from cobwebs.graphs import (
+    _above_masks,
+    _acyclic_order,
+    _along,
+    _along_twins,
+    _chain_positions,
+    _inverse,
+    _position_reach,
+    _twin_classes,
+)
 from cobwebs.realizers import _check_graph, _dimension_up_to_2
 from cobwebs.serialization import (
     FormatError,
@@ -65,6 +75,7 @@ from cobwebs.serialization import (
 from helpers import (
     bfs_pairs,
     fib_cobweb,
+    graph_on,
     reference_orientation,
     row,
     s3_plus,
@@ -481,12 +492,12 @@ def two_dimensional_orders(draw, max_n=60):
 
 def orientation_inputs(g: Digraph, rng: random.Random):
     """Reach and above masks along Kahn's order and along a random extension."""
-    first, pos_of, reach, _ = _along(g)
-    yield reach, realizers._above_masks(g._succ, first, pos_of)
+    _, _, reach, _, above = _along(g)
+    yield reach, above
     pos_of = _chain_positions(random_extension(g, rng), g)
     order = _inverse(pos_of)
     reach, _ = _position_reach(g._succ, order, pos_of)
-    yield reach, realizers._above_masks(g._succ, order, pos_of)
+    yield reach, _above_masks(g._succ, order, pos_of)
 
 
 def same_orientation(g: Digraph, rng: random.Random) -> list:
@@ -551,6 +562,123 @@ class TestDecisionsAtScale:
         g = two_dimensional_order(x, y, order, s3=True)
         assert g.vertices[-6:] == tuple(row(3, 1) + row(3, 2))
         assert decide_orderable(g) == NoAdmissibleChain()
+
+
+# ------------------------------------------------------------- twin classes
+
+
+def per_arc_along(g: Digraph) -> tuple:
+    """_along's lists from the per-arc passes, whatever the quotient."""
+    first = _acyclic_order(g)
+    pos_of = _inverse(first)
+    reach, red = _position_reach(g._succ, first, pos_of)
+    return first, pos_of, reach, red, _above_masks(g._succ, first, pos_of)
+
+
+@st.composite
+def lexicographic_sums(draw, max_classes=7, max_size=4):
+    """g, a lexicographic sum of antichains over a random DAG Q; Q; the antichains.
+
+    Each vertex of Q becomes an antichain of 1..max_size twins, and
+    each arc of Q every arc between its two antichains.  Vertices and
+    arcs are shuffled, so twins list their heads in different orders.
+    A drawn coin reduces Q transitively, which makes g regular.
+    """
+    k = draw(st.integers(1, max_classes))
+    rng = draw(st.randoms(use_true_random=False))
+    q_arcs = [(a, b) for a in range(k) for b in range(a + 1, k) if draw(st.booleans())]
+    q = graph_on(k, q_arcs)
+    if draw(st.booleans()):
+        q = transitive_reduction(q)
+    sizes = [draw(st.integers(1, max_size)) for _ in range(k)]
+    classes = [[v(j, c) for j in range(1, size + 1)] for c, size in enumerate(sizes)]
+    vertices = [u for members in classes for u in members]
+    arcs = [
+        (t, h)
+        for a, b in q._arc_index
+        for t in classes[a]
+        for h in classes[b]
+    ]
+    rng.shuffle(vertices)
+    rng.shuffle(arcs)
+    return Digraph(vertices, arcs), q, classes
+
+
+def twins_by_definition(g: Digraph) -> list[int]:
+    """Each vertex's least twin: equal successor sets and equal predecessor sets."""
+    pred = [set() for _ in g.vertices]
+    for t, h in g._arc_index:
+        pred[h].add(t)
+    sig = [(frozenset(g._succ[i]), frozenset(pred[i])) for i in range(len(g))]
+    return [sig.index(s) for s in sig]
+
+
+class TestTwinClasses:
+    """The class path gives the per-arc lists; the quotient decides (ROADMAP item 3)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(lexicographic_sums())
+    def test_class_path_matches_the_per_arc_passes(self, case):
+        g, q, classes = case
+        cls_of, members, qsucc = twins = _twin_classes(g._succ)
+        assert cls_of == twins_by_definition(g)
+        assert list(members) == sorted(set(cls_of))
+        for c, m in members.items():
+            assert m == [i for i in range(len(g)) if cls_of[i] == c]
+        for c, heads in qsucc.items():
+            assert sorted(heads) == sorted({cls_of[j] for j in g._succ[c]})
+        for planted in classes:
+            assert len({cls_of[g.index(u)] for u in planted}) == 1
+        assert _along_twins(*twins) == per_arc_along(g) == _along(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lexicographic_sums())
+    def test_verdict_is_the_quotients(self, case):
+        g, q, _ = case
+        truth = bool(brute_force_dim_le_2(FinitePoset.from_digraph(q)))
+        verdict = decide_orderable(g)
+        if is_regular(q):
+            assert isinstance(verdict, Orderable) == truth
+            if truth:
+                assert verify_realizer(verdict.realizer)
+        else:
+            assert isinstance(verdict, NotRegular)
+        assert (_dimension_up_to_2(g) is not None) == truth
+
+    def test_cyclic_classes_raise(self):
+        # {0, 1} and {2, 3} are twin classes, with every arc both ways
+        g = graph_on(4, [(a, b) for a in range(4) for b in range(4) if a // 2 != b // 2])
+        with pytest.raises(CyclicInputError):
+            _along_twins(*_twin_classes(g._succ))
+
+    @pytest.mark.parametrize(
+        "spec, max_level",
+        [("fib", 10), ("const:8", 10), ("list:4,10,10,10,4", 4)],
+    )
+    @pytest.mark.parametrize("source", ["built", "json"])
+    def test_cobwebs_take_no_per_arc_pass(self, spec, max_level, source, monkeypatch):
+        g = build_cobweb(parse_sequence_spec(spec), max_level).hasse
+        if source == "json":
+            payload = json.loads(graph_to_json(g))
+            rng = random.Random(max_level)
+            rng.shuffle(payload["vertices"])
+            rng.shuffle(payload["arcs"])
+            g = graph_from_json(json.dumps(payload))
+
+        def refuse(*args):
+            raise AssertionError("per-arc pass reached")
+
+        with monkeypatch.context() as patched:
+            for module in (graphs, realizers):
+                for name in ("_position_reach", "_above_masks", "_kahn_order"):
+                    if hasattr(module, name):
+                        patched.setattr(module, name, refuse)
+            verdict = decide_orderable(g)
+            regular, admissible = _check_graph(g)
+            dimension = _dimension_up_to_2(g)
+        assert isinstance(verdict, Orderable)
+        assert verify_realizer(verdict.realizer)
+        assert (regular.ok, admissible.ok, dimension) == (True, True, 2)
 
 
 # ---------------------------------------------------------- lazy chain ranks

@@ -91,6 +91,25 @@ class TestJson:
         with pytest.raises(FormatError):
             graph_from_json(bad)
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"vertices": [[1,0]], "arcs": [], "vertices": []}', "vertices"),
+            ('{"arcs": [], "vertices": [], "arcs": []}', "arcs"),
+            ('{"vertices": [], "arcs": [], "note": 1, "note": 1}', "note"),
+        ],
+    )
+    def test_rejects_a_repeated_top_level_key(self, text, key):
+        with pytest.raises(FormatError, match=f"^duplicate key '{key}'$"):
+            graph_from_json(text)
+
+    def test_a_repeated_key_below_the_top_keeps_its_message(self):
+        # such an object is no vertex; the message names the vertex as read
+        with pytest.raises(
+            FormatError, match=r"^expected a vertex as \[position, level\], got \{'a': 2\}$"
+        ):
+            graph_from_json('{"vertices": [{"a": 1, "a": 2}], "arcs": []}')
+
     @pytest.mark.parametrize("name", sorted(MALFORMED_JSON))
     def test_decoder_errors_are_format_errors(self, name):
         with pytest.raises(FormatError, match="^invalid JSON: "):
