@@ -5,7 +5,7 @@ the brute force oracle) works over the small vocabulary defined here:
 vertices labelled by position and level, digraphs with deterministic
 iteration order, chains, and reachability relations.  All reachability-style
 computations run on vertex indices and integer bitmasks: a Digraph
-stores its arcs only as index pairs and successor lists, and
+stores its arcs only as successor lists and an array of tails, and
 reachability is kept as one mask per vertex, either over vertex
 indices or over positions along a chain.  Vertex objects appear only
 where a result is handed back to the caller.
@@ -14,8 +14,10 @@ where a result is handed back to the caller.
 from __future__ import annotations
 
 import heapq
+from array import array
 from collections import Counter
 from itertools import filterfalse, islice
+from operator import itemgetter
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -99,12 +101,15 @@ class Digraph:
     order, so every computation derived from a Digraph is deterministic.
     Duplicate arcs are dropped silently; duplicate vertices, loops and
     arcs with unknown endpoints are rejected, the first fault in input
-    order deciding the message.  The arcs are stored only as index
-    pairs: one tuple per arc in ``_arc_index`` and one slot per arc in
-    a successor list; ``arcs`` builds the vertex pairs on each read.
+    order deciding the message.  No arc is stored as a pair: ``_succ[t]``
+    lists t's heads in insertion order, and the ``array('I')``
+    ``_tails`` holds each arc's tail in that order, 4 bytes per arc.
+    Arc k's head is the next unread head of its tail, so ``_pairs``
+    yields the index pairs in order, and ``arcs`` builds the vertex
+    pairs on each read.
     """
 
-    __slots__ = ("vertices", "_index", "_succ", "_arc_index")
+    __slots__ = ("vertices", "_index", "_succ", "_tails")
 
     def __init__(self, vertices: Iterable[Vertex], arcs: Iterable[Arc] = ()) -> None:
         vs = tuple(vertices)
@@ -117,11 +122,9 @@ class Digraph:
     ) -> Digraph:
         """A Digraph from a list of arcs given as index pairs into ``vertices``.
 
-        The constructor behind the parsers and the derived digraphs: it
-        hashes no Vertex per arc, and the list itself becomes
-        ``_arc_index`` when no arc repeats.
-        Rejects duplicate vertices and loops with the same messages as
-        the public constructor; the indices must be in range.
+        The constructor behind the derived digraphs: it hashes no Vertex
+        per arc.  Rejects duplicate vertices and loops with the same
+        messages as the public constructor; the indices must be in range.
         """
         g = cls.__new__(cls)
         vs = tuple(vertices)
@@ -130,21 +133,18 @@ class Digraph:
 
     @classmethod
     def _from_succ(
-        cls,
-        vertices: Iterable[Vertex],
-        succ: list[list[int]],
-        arcs: list[tuple[int, int]],
+        cls, vertices: Iterable[Vertex], succ: list[list[int]], tails: array
     ) -> Digraph:
-        """A Digraph that keeps the successor lists and arc list it is given.
+        """A Digraph that keeps the successor lists and tails array it is given.
 
-        For arcs that are distinct and loop-free by construction, such
-        as the cobweb builder's: ``arcs`` is in insertion order and
-        ``succ[t]`` lists t's heads in that order.  Only the vertices
-        are checked, for duplicates.
+        For loop-free arcs, such as the readers' and the cobweb
+        builder's: ``tails`` lists the tails in insertion order and
+        ``succ[t]`` lists t's heads in that order.  The vertices are
+        checked for duplicates, and the arcs for repeats (``_keep``).
         """
         g = cls.__new__(cls)
         vs = tuple(vertices)
-        g.vertices, g._index, g._succ, g._arc_index = vs, _vertex_index(vs), succ, arcs
+        g._keep(vs, _vertex_index(vs), succ, tails)
         return g
 
     def _build(
@@ -153,30 +153,50 @@ class Digraph:
         index: dict[Vertex, int],
         arcs: list[tuple[int, int]],
     ) -> None:
-        """Keep the first occurrence of each arc, in order, and fill ``_succ``.
-
-        One loop fills the successor lists and raises on the first loop.
-        An arc repeats exactly when some tail's heads do, which a ``set``
-        of each tail's heads finds in C; only then does ``dict.fromkeys``
-        copy the arc and successor lists without the repeats.  So a list
-        without repeats is kept as it is, and no set of all the arcs is
-        built.
-        """
+        """Fill the successor lists from index pairs, raising on the first loop."""
         succ: list[list[int]] = [[] for _ in vs]
         for t, h in arcs:
             if t == h:
                 raise ValueError(f"loop at {vs[t]}")
             succ[t].append(h)
-        if any(len(set(heads)) != len(heads) for heads in succ):
-            arcs = list(dict.fromkeys(arcs))
-            succ = [list(dict.fromkeys(heads)) for heads in succ]
-        self.vertices, self._index, self._succ, self._arc_index = vs, index, succ, arcs
+        self._keep(vs, index, succ, array("I", map(itemgetter(0), arcs)))
+
+    def _keep(
+        self,
+        vs: tuple[Vertex, ...],
+        index: dict[Vertex, int],
+        succ: list[list[int]],
+        tails: array,
+    ) -> None:
+        """Store the fields, keeping the first occurrence of each arc, in order.
+
+        An arc repeats exactly when some tail's heads do, which a ``set``
+        of each distinct successor list finds in C; only then are the
+        successor lists and tails rebuilt without the repeats, through
+        ``dict.fromkeys``.  So lists without repeats are kept as they
+        are, and no set of all the arcs is built.
+        """
+        self.vertices, self._index, self._succ, self._tails = vs, index, succ, tails
+        distinct = {id(heads): heads for heads in succ}.values()
+        if any(len(set(heads)) != len(heads) for heads in distinct):
+            kept = dict.fromkeys(self._pairs())
+            self._succ = [list(dict.fromkeys(heads)) for heads in succ]
+            self._tails = array("I", map(itemgetter(0), kept))
+
+    def _pairs(self) -> Iterator[tuple[int, int]]:
+        """The arcs as index pairs, in insertion order, without a Python step per arc.
+
+        Each tail gets its own iterator over its successor list, so the
+        pairs come out right when tails share one list.
+        """
+        its = list(map(iter, self._succ))
+        return zip(self._tails, map(next, map(its.__getitem__, self._tails)))
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
         """The arcs as vertex pairs, in first-insertion order, built on each read."""
         vs = self.vertices
-        return tuple([(vs[t], vs[h]) for t, h in self._arc_index])
+        return tuple([(vs[t], vs[h]) for t, h in self._pairs()])
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -187,16 +207,16 @@ class Digraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        # equal vertex tuples give equal index maps, so index arcs compare
-        return self.vertices == other.vertices and set(self._arc_index) == set(
-            other._arc_index
+        # equal vertex tuples give equal index maps, so each tail's heads compare
+        return self.vertices == other.vertices and all(
+            len(a) == len(b) and set(a) == set(b) for a, b in zip(self._succ, other._succ)
         )
 
     def __hash__(self) -> int:
-        return hash((self.vertices, frozenset(self._arc_index)))
+        return hash((self.vertices, tuple(map(frozenset, self._succ))))
 
     def __repr__(self) -> str:
-        return f"Digraph({len(self.vertices)} vertices, {len(self._arc_index)} arcs)"
+        return f"Digraph({len(self.vertices)} vertices, {len(self._tails)} arcs)"
 
     def index(self, v: Vertex) -> int:
         try:
@@ -281,7 +301,10 @@ class Relation:
         """The pairs as a frozenset, built on each read."""
         return frozenset(self)
 
-    def __contains__(self, pair: Arc) -> bool:
+    def __contains__(self, pair: object) -> bool:
+        if not isinstance(pair, tuple) or len(pair) != 2:
+            hash(pair)  # an unhashable value raises TypeError, as in a frozenset
+            return False
         u, v = pair
         i, j = self._index.get(u), self._index.get(v)
         return i is not None and j is not None and self._masks[i] >> j & 1 == 1
@@ -615,7 +638,7 @@ def _along(g: Digraph) -> Analysis:
     one reverse pass and one forward pass over the arcs.  Both give the
     same lists.
     """
-    n, m = len(g), len(g._arc_index)
+    n, m = len(g), len(g._tails)
     if m >= 6 * n:
         twins = _twin_classes(g._succ)
         if m - sum(map(len, twins[2].values())) >= 6 * n:
@@ -647,7 +670,7 @@ def _regularity(g: Digraph, pos_of: Sequence[int], red: list[int]) -> CheckResul
     otherwise are the arcs scanned for the first redundant one.
     """
     if any(red):
-        for t, h in g._arc_index:
+        for t, h in g._pairs():
             if red[pos_of[t]] >> pos_of[h] & 1:
                 return CheckResult(False, (g.vertices[t], g.vertices[h]))
     return CheckResult(True)
@@ -660,7 +683,7 @@ def transitive_reduction(g: Digraph) -> Digraph:
     when its head is in its tail's redundant-head mask (_position_reach).
     """
     red = _reach_bits(g)[1]
-    kept = [(t, h) for t, h in g._arc_index if not red[t] >> h & 1]
+    kept = [(t, h) for t, h in g._pairs() if not red[t] >> h & 1]
     return Digraph._from_index_arcs(g.vertices, kept)
 
 
@@ -697,7 +720,7 @@ def is_linear_extension(c: Chain, g: Digraph) -> bool:
     extension, so the answer is then False for every chain.
     """
     pos_of = _chain_positions(c, g)
-    return all(pos_of[t] < pos_of[h] for t, h in g._arc_index)
+    return all(pos_of[t] < pos_of[h] for t, h in g._pairs())
 
 
 def _admissibility_witness(pos_reach: list[int]) -> tuple[int, int, int] | None:

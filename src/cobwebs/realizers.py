@@ -216,7 +216,7 @@ def conjugate_chain(x: Chain, g: Digraph) -> Chain:
     since those have no linear extensions).
     """
     pos_of = _chain_positions(x, g)
-    if not all(pos_of[t] < pos_of[h] for t, h in g._arc_index):
+    if not all(pos_of[t] < pos_of[h] for t, h in g._pairs()):
         raise NotLinearExtensionError("chain is not a linear extension of the digraph")
     order = _inverse(pos_of)
     reach, _ = _position_reach(g._succ, order, pos_of)

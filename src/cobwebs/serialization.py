@@ -8,6 +8,7 @@ emitters are byte-deterministic for a given input.
 from __future__ import annotations
 
 import json
+from array import array
 from itertools import chain
 from typing import Any, Iterable, Iterator
 
@@ -103,7 +104,7 @@ def _json_vertex_key(item: Any) -> tuple[int, int]:
 def graph_to_json(g: Digraph) -> str:
     texts = [_vertex_json(v) for v in g.vertices]
     vertices = _block("vertices", texts)
-    arcs = _block("arcs", [f"[{texts[t]}, {texts[h]}]" for t, h in g._arc_index])
+    arcs = _block("arcs", [f"[{texts[t]}, {texts[h]}]" for t, h in g._pairs()])
     return "{\n  " + vertices + ",\n  " + arcs + "\n}\n"
 
 
@@ -113,7 +114,8 @@ def graph_from_json(text: str) -> Digraph:
     A key repeated in the top-level object is rejected, not resolved to
     its last value.  Every vertex and arc is checked for shape first,
     then the vertex list for duplicates (before any arc is resolved),
-    then each arc for unknown endpoints and loops.
+    then each arc for unknown endpoints and loops.  A well-formed arc
+    goes straight into the successor lists and the tails array.
     """
     repeats: list[tuple[dict[str, Any], str]] = []  # objects that repeat a key
 
@@ -145,7 +147,8 @@ def graph_from_json(text: str) -> Digraph:
         raise FormatError("'vertices' and 'arcs' must be lists")
     keys = [_json_vertex_key(item) for item in payload["vertices"]]
     index = {key: i for i, key in enumerate(keys)}
-    arcs: list[tuple[int, int]] = []
+    succ: list[list[int]] = [[] for _ in keys]
+    tails = array("I")
     fault: list[tuple[Vertex, Vertex]] = []  # first arc with an unknown end or a loop
     for item in payload["arcs"]:
         # Among JSON values only a 2-list of two 2-lists of ints unpacks
@@ -158,7 +161,8 @@ def graph_from_json(text: str) -> Digraph:
             if type(tp) is type(tl) is type(hp) is type(hl) is int:
                 t, h = index.get((tp, tl)), index.get((hp, hl))
                 if t is not None and h is not None and t != h:
-                    arcs.append((t, h))
+                    succ[t].append(h)
+                    tails.append(t)
                     continue
         if not isinstance(item, list) or len(item) != 2:
             raise FormatError(f"expected an arc as [tail, head], got {item!r}")
@@ -166,7 +170,7 @@ def graph_from_json(text: str) -> Digraph:
         fault = fault or [(Vertex(*tail), Vertex(*head))]
     try:
         # the duplicate-vertex check comes first, then the first fault
-        g = Digraph._from_index_arcs([Vertex(*key) for key in keys], arcs)
+        g = Digraph._from_succ([Vertex(*key) for key in keys], succ, tails)
         _resolved(g._index, fault, g.vertices)
     except ValueError as err:
         raise FormatError(str(err)) from None
@@ -227,12 +231,16 @@ def graph_from_edgelist(text: str) -> Digraph:
     whitespace included (such as '18,10 '), so an arc line whose tokens
     were met before costs one ``partition`` and two dict hits.  Lines
     are split at '#' only when the text holds one, and only one chunk's
-    lines (``_chunks``) are held at a time.
+    lines (``_chunks``) are held at a time.  Each arc goes straight into
+    the successor lists and the tails array; the first loop is raised
+    after the last line, so a malformed line wins over it.
     """
     index: dict[tuple[int, int], int] = {}
     cache: dict[str, int] = {}  # each token, as read and stripped, to its vertex
     vertices: list[Vertex] = []
-    arcs: list[tuple[int, int]] = []
+    succ: list[list[int]] = []
+    tails = array("I")
+    loop: int | None = None  # the vertex of the first loop
 
     def lookup(token: str) -> int:  # a token not met before as read
         name = token.strip()
@@ -242,6 +250,7 @@ def graph_from_edgelist(text: str) -> Digraph:
             i = index.get(key)
             if i is None:
                 vertices.append(_text_vertex(key, name))
+                succ.append([])
                 i = index[key] = len(index)
             cache[name] = i
         cache[token] = i
@@ -260,15 +269,18 @@ def graph_from_edgelist(text: str) -> Digraph:
                 h = cache.get(rhs)
                 if h is None:
                     h = lookup(rhs)
-                arcs.append((t, h))
+                if t != h:
+                    succ[t].append(h)
+                    tails.append(t)
+                elif loop is None:
+                    loop = t
             elif line not in cache and line.strip():
                 lookup(line)
         except FormatError as err:
             raise FormatError(f"line {lineno}: {err}") from None
-    try:
-        return Digraph._from_index_arcs(vertices, arcs)
-    except ValueError as err:
-        raise FormatError(str(err)) from None
+    if loop is not None:
+        raise FormatError(f"loop at {vertices[loop]}")
+    return Digraph._from_succ(vertices, succ, tails)
 
 
 def graph_to_dot(g: Digraph) -> str:

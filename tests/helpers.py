@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from array import array
 from collections import deque
 
 import numpy as np
@@ -302,7 +303,8 @@ def _reference_digraph(vs: tuple[Vertex, ...], arcs) -> Digraph:
         succ[t].append(h)
         kept.append(arc)
     g = Digraph.__new__(Digraph)
-    g.vertices, g._index, g._succ, g._arc_index = vs, index, succ, kept
+    g.vertices, g._index, g._succ = vs, index, succ
+    g._tails = array("I", [t for t, _ in kept])
     return g
 
 

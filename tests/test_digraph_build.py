@@ -6,8 +6,12 @@ the same vertices, arcs, successor lists and error messages must come
 out of random texts and arc lists with every kind of fault planted.
 """
 
+import gc
 import json
 import re
+import tracemalloc
+from array import array
+from functools import partial
 from itertools import chain
 
 import pytest
@@ -21,6 +25,7 @@ from cobwebs.serialization import (
     graph_from_json,
     graph_from_text,
     graph_to_edgelist,
+    graph_to_json,
 )
 
 from helpers import (
@@ -31,13 +36,27 @@ from helpers import (
 )
 
 
+def arcs_in_order(g):
+    """The index pairs in insertion order: each tail's next unread head, step by step."""
+    read = [0] * len(g.vertices)
+    out = []
+    for t in g._tails:
+        out.append((t, g._succ[t][read[t]]))
+        read[t] += 1
+    assert read == [len(heads) for heads in g._succ]
+    return out
+
+
 def fields(fn, *args):
-    """The stored fields of fn(*args), or the type and text of what it raised."""
+    """The stored fields of fn(*args), with its arcs in order, or what it raised."""
     try:
         g = fn(*args)
     except ValueError as err:
         return type(err), str(err)
-    return g.vertices, g._index, g._arc_index, g._succ
+    assert type(g._tails) is array and g._tails.typecode == "I"
+    arcs = list(g._pairs())
+    assert arcs == arcs_in_order(g)
+    return g.vertices, g._index, arcs, g._tails, g._succ
 
 
 # ------------------------------------------------------------ strategies
@@ -234,17 +253,40 @@ class TestArcList:
     VS = [Vertex(i, 0) for i in range(1, 5)]
 
     def test_list_without_repeats_is_kept(self):
+        # the reader's tails array and successor lists are kept, not copied
+        succ, tails = [[1, 2], [], [3], []], array("I", [0, 2, 0])
+        g = Digraph._from_succ(self.VS, succ, tails)
+        assert g._tails is tails
+        assert g._succ is succ
+        assert list(g._pairs()) == [(0, 1), (2, 3), (0, 2)]
         arcs = [(0, 1), (2, 3), (0, 2)]
         g = Digraph._from_index_arcs(self.VS, arcs)
-        assert g._arc_index is arcs
+        assert list(g._pairs()) == arcs
+        assert g._tails == array("I", [0, 2, 0])
         assert g._succ == [[1, 2], [], [3], []]
 
     def test_repeats_are_dropped_from_a_copy(self):
         arcs = [(0, 1), (2, 3), (0, 1), (0, 2), (2, 3)]
         g = Digraph._from_index_arcs(self.VS, arcs)
-        assert g._arc_index == [(0, 1), (2, 3), (0, 2)]
+        assert list(g._pairs()) == [(0, 1), (2, 3), (0, 2)]
+        assert g._tails == array("I", [0, 2, 0])
         assert g._succ == [[1, 2], [], [3], []]
         assert arcs == [(0, 1), (2, 3), (0, 1), (0, 2), (2, 3)]
+
+    def test_repeats_are_dropped_from_shared_lists(self):
+        # tails 0 and 1 share one list that repeats head 3
+        heads = [3, 2, 3]
+        succ, tails = [heads, heads, [], []], array("I", [0, 1, 1, 0, 0, 1])
+        g = Digraph._from_succ(self.VS, succ, tails)
+        assert list(g._pairs()) == [(0, 3), (1, 3), (1, 2), (0, 2)]
+        assert g._succ == [[3, 2], [3, 2], [], []]
+        assert heads == [3, 2, 3] and tails == array("I", [0, 1, 1, 0, 0, 1])
+
+    def test_pairs_of_shared_lists(self):
+        heads = [2, 3]
+        g = Digraph._from_succ(self.VS, [heads, heads, [], []], array("I", [1, 0, 0, 1]))
+        assert list(g._pairs()) == [(1, 2), (0, 2), (0, 3), (1, 3)]
+        assert list(g._pairs()) == arcs_in_order(g)
 
 
 class TestByteOrderMark:
@@ -287,7 +329,43 @@ class TestCobwebBuilder:
         assert g.vertices == expected.vertices
         assert g._index == expected._index
         assert g._succ == expected._succ
-        assert g._arc_index == expected._arc_index
+        assert g._tails == expected._tails
+        assert list(g._pairs()) == arcs_in_order(expected) == layered_arcs(sizes)
         for u in g.vertices:
             assert g.successors(u) == expected.successors(u)
         assert g == expected
+
+
+class TestMemoryModel:
+    """The bytes per arc that a fib 14 Digraph (142,130 arcs) retains.
+
+    4 bytes of tails per arc, plus one successor-list slot per arc for
+    parsed input; the builder's tails of one level share one list.
+    """
+
+    ARCS = 142_130
+
+    def retained_per_arc(self, fn, arg):
+        fn(arg)  # first-use caches are not the digraph's
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = fn(arg)
+            after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(getattr(kept, "hasse", kept).arcs) == self.ARCS
+        return (after - before) / self.ARCS
+
+    def test_built_cobweb(self):
+        assert self.retained_per_arc(partial(build_cobweb, parse_sequence_spec("fib")), 14) < 8
+
+    @pytest.mark.parametrize(
+        "emit, read",
+        [(graph_to_edgelist, graph_from_edgelist), (graph_to_json, graph_from_json)],
+        ids=["edgelist", "json"],
+    )
+    def test_reader(self, emit, read):
+        text = emit(build_cobweb(parse_sequence_spec("fib"), 14).hasse)
+        assert self.retained_per_arc(read, text) < 20

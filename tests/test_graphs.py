@@ -1,5 +1,6 @@
 """Digraph machinery: reachability, reduction, regularity, chains."""
 
+import collections
 import copy
 import itertools
 import pickle
@@ -217,6 +218,33 @@ class TestRelation:
         assert (v(1), stranger) not in r
         assert (stranger, v(1)) not in r
         assert (stranger, stranger) not in r
+
+    @pytest.mark.parametrize(
+        "value",
+        [None, v(1), (v(1),), (v(1), v(2), v(3)), (), "ab", 5, frozenset()],
+        ids=["None", "vertex", "1-tuple", "3-tuple", "empty", "str", "int", "frozenset"],
+    )
+    def test_a_value_that_is_not_a_pair_is_not_in(self, value):
+        r = reachability(graph_on(3, [(0, 1), (1, 2)]))
+        assert value not in r
+        assert value not in r.pairs
+
+    def test_a_tuple_subclass_pair_is_in(self):
+        pair = collections.namedtuple("Pair", "tail head")
+        r = reachability(graph_on(3, [(0, 1), (1, 2)]))
+        assert pair(v(1), v(3)) in r and pair(v(1), v(3)) in r.pairs
+        assert pair(v(3), v(1)) not in r and pair(v(3), v(1)) not in r.pairs
+
+    @pytest.mark.parametrize(
+        "value",
+        [[v(1), v(2)], (v(1), []), ([], v(1)), ([],), (v(1), v(2), []), {}],
+        ids=["list", "head", "tail", "1-tuple", "3-tuple", "dict"],
+    )
+    def test_an_unhashable_value_raises_as_in_the_pairs(self, value):
+        r = reachability(graph_on(3, [(0, 1), (1, 2)]))
+        for container in (r, r.pairs):
+            with pytest.raises(TypeError, match="unhashable"):
+                value in container
 
     @settings(max_examples=40, deadline=None)
     @given(small_dags())

@@ -595,7 +595,7 @@ def lexicographic_sums(draw, max_classes=7, max_size=4):
     vertices = [u for members in classes for u in members]
     arcs = [
         (t, h)
-        for a, b in q._arc_index
+        for a, b in q._pairs()
         for t in classes[a]
         for h in classes[b]
     ]
@@ -607,7 +607,7 @@ def lexicographic_sums(draw, max_classes=7, max_size=4):
 def twins_by_definition(g: Digraph) -> list[int]:
     """Each vertex's least twin: equal successor sets and equal predecessor sets."""
     pred = [set() for _ in g.vertices]
-    for t, h in g._arc_index:
+    for t, h in g._pairs():
         pred[h].add(t)
     sig = [(frozenset(g._succ[i]), frozenset(pred[i])) for i in range(len(g))]
     return [sig.index(s) for s in sig]
