@@ -46,10 +46,13 @@ its exit code, stdout and stderr.  They cover gen, check, realize, dim
 files of cobwebs, of S3 plus isolated vertices, of random
 two-dimensional orders and of their transitive closures, and of random
 DAGs; on cyclic, malformed and loop inputs, JSON nested past the
-decoder's recursion limit and an integer of 5,001 digits; and on invalid
-sequence specs, a negative max level, a missing file, a file that is not
-UTF-8 and an --output in a missing directory.  No command writes into
-the input directory.
+decoder's recursion limit and an integer of 5,001 digits; on JSON with
+the arcs key first, compact separators, tab and CRLF indentation, an
+extra key, an escaped key, a leading zero, a float coordinate, a digit
+outside the lists, a repeated arc, an unknown endpoint and no vertex;
+and on invalid sequence specs, a negative max level, a missing file, a
+file that is not UTF-8 and an --output in a missing directory.  No
+command writes into the input directory.
 
 All inputs are generated by this script, not by either tree.
 """
@@ -270,6 +273,25 @@ def cli_files() -> list[tuple[str, bytes | None]]:
         # past the decoder's recursion limit, and an integer of 5,001 digits
         ("deep.json", '{"vertices": ' + "[" * 100_000),
         ("long_int.json", '{"vertices": [[1' + "0" * 5000 + ', 0]], "arcs": []}'),
+    ):
+        files.append((name, text.encode()))
+    # JSON layouts that the reader takes without decoding, and near misses it
+    # hands to the decoder
+    vs, arcs = shuffled(rng, graphs[1][1])
+    doc = json.loads(to_json((vs, arcs)))
+    repeated = doc["arcs"][:3] + doc["arcs"]
+    for name, text in (
+        ("arcs_first.json", json.dumps({"arcs": doc["arcs"], "vertices": doc["vertices"]})),
+        ("compact.json", json.dumps(doc, separators=(",", ":"))),
+        ("tab_crlf.json", json.dumps(doc, indent="\t").replace("\n", "\r\n")),
+        ("extra_key.json", json.dumps({**doc, "name": "cobweb"})),
+        ("escaped_key.json", '{"\\u0076ertices": [[1, 0]], "arcs": []}'),
+        ("leading_zero.json", '{"vertices": [[1, 0], [01, 1]], "arcs": []}'),
+        ("float.json", '{"vertices": [[1, 0], [1.0, 1]], "arcs": [[[1, 0], [1, 1]]]}'),
+        ("digit_outside.json", '{"vertices": [[1, 0], [1, 1]] 7, "arcs": []}'),
+        ("repeated_arc.json", json.dumps({**doc, "arcs": repeated})),
+        ("unknown_end.json", '{"vertices": [[1, 0], [2, 0]], "arcs": [[[2, 0], [1, 1]]]}'),
+        ("empty.json", '{"vertices": [], "arcs": []}'),
     ):
         files.append((name, text.encode()))
     files.append(("missing.json", None))

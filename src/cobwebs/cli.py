@@ -7,7 +7,8 @@ to 2 through the decider, 3 by brute force), export (format
 conversion).
 
 Exit codes: 0 success, 1 check failed, 2 malformed input, an
-unreadable or unwritable file or a cyclic graph, 3 invalid sequence
+unreadable or unwritable file, a cyclic graph or an input too large
+for the memory that the process may use, 3 invalid sequence
 values, and for realize: 4 not regular, 5 no admissible chain.  Any
 other exception is an internal error: its traceback goes to stderr and
 the exit code is 6.
@@ -62,8 +63,12 @@ class _CliError(Exception):
 
 
 def _read_text(path: str) -> str:
+    """The UTF-8 text of a file, or of standard input for '-', whatever the locale."""
     try:
-        return sys.stdin.read() if path == "-" else Path(path).read_text()
+        if path != "-":
+            return Path(path).read_text(encoding="utf-8")
+        buffer = getattr(sys.stdin, "buffer", None)  # a replaced stdin may have none
+        return sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as err:
         raise _CliError(f"cannot read {path}: {err}")
 
@@ -74,7 +79,7 @@ def _write_text(text: str, path: str | None) -> None:
         sys.stdout.flush()  # a failure here comes before any report on stderr
         return
     try:
-        Path(path).write_text(text)
+        Path(path).write_text(text, encoding="utf-8")
     except OSError as err:
         raise _CliError(f"cannot write {path}: {err}")
 
@@ -256,6 +261,8 @@ def main(argv: list[str] | None = None) -> int:
         message, code = str(err), EXIT_BAD_SEQUENCE
     except (_CliError, FormatError, SequenceSpecError, TooLargeError) as err:
         message, code = str(err), EXIT_BAD_INPUT
+    except MemoryError:  # caught after the frames that held the memory are gone
+        message, code = "out of memory", EXIT_BAD_INPUT
     except Exception:
         traceback.print_exc()
         return EXIT_INTERNAL_ERROR

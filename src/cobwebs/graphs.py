@@ -114,22 +114,15 @@ class Digraph:
     def __init__(self, vertices: Iterable[Vertex], arcs: Iterable[Arc] = ()) -> None:
         vs = tuple(vertices)
         index = _vertex_index(vs)
-        self._build(vs, index, _resolved(index, arcs, vs))
-
-    @classmethod
-    def _from_index_arcs(
-        cls, vertices: Iterable[Vertex], arcs: list[tuple[int, int]]
-    ) -> Digraph:
-        """A Digraph from a list of arcs given as index pairs into ``vertices``.
-
-        The constructor behind the derived digraphs: it hashes no Vertex
-        per arc.  Rejects duplicate vertices and loops with the same
-        messages as the public constructor; the indices must be in range.
-        """
-        g = cls.__new__(cls)
-        vs = tuple(vertices)
-        g._build(vs, _vertex_index(vs), arcs)
-        return g
+        succ: list[list[int]] = [[] for _ in vs]
+        tails = array("I")
+        for tail, head in arcs:
+            t, h = index.get(tail), index.get(head)
+            if t is None or h is None or t == h:
+                _resolved(index, [(tail, head)], vs)  # raises, wording the fault
+            succ[t].append(h)
+            tails.append(t)
+        self._keep(vs, index, succ, tails)
 
     @classmethod
     def _from_succ(
@@ -146,20 +139,6 @@ class Digraph:
         vs = tuple(vertices)
         g._keep(vs, _vertex_index(vs), succ, tails)
         return g
-
-    def _build(
-        self,
-        vs: tuple[Vertex, ...],
-        index: dict[Vertex, int],
-        arcs: list[tuple[int, int]],
-    ) -> None:
-        """Fill the successor lists from index pairs, raising on the first loop."""
-        succ: list[list[int]] = [[] for _ in vs]
-        for t, h in arcs:
-            if t == h:
-                raise ValueError(f"loop at {vs[t]}")
-            succ[t].append(h)
-        self._keep(vs, index, succ, array("I", map(itemgetter(0), arcs)))
 
     def _keep(
         self,
@@ -544,15 +523,16 @@ def _twin_classes(succ: list[list[int]]) -> Twins:
     cls_of = list(range(n))
     if len(group_heads) < n:
         size = Counter(group)
-        shared = {i for i, k in enumerate(group) if size[k] > 1}
-        listed_by: dict[int, list[int]] = {i: [] for i in shared}  # the groups listing i
+        # the groups listing i, for each i in a shared group, in ascending order
+        # so that the least vertex names its class
+        listed_by = {i: [] for i, k in enumerate(group) if size[k] > 1}
         for k, heads in enumerate(group_heads):
-            for j in shared.intersection(heads):
+            for j in listed_by.keys() & heads:
                 listed_by[j].append(k)
         classes: dict[tuple[int, tuple[int, ...]], int] = {}
         for i, listing in listed_by.items():
             cls_of[i] = classes.setdefault((group[i], tuple(listing)), i)
-        twins = {i for i in shared if cls_of[i] != i}
+        twins = {i for i in listed_by if cls_of[i] != i}
         if twins:
             members: dict[int, list[int]] = {}
             for i, c in enumerate(cls_of):
@@ -683,8 +663,13 @@ def transitive_reduction(g: Digraph) -> Digraph:
     when its head is in its tail's redundant-head mask (_position_reach).
     """
     red = _reach_bits(g)[1]
-    kept = [(t, h) for t, h in g._pairs() if not red[t] >> h & 1]
-    return Digraph._from_index_arcs(g.vertices, kept)
+    succ: list[list[int]] = [[] for _ in g.vertices]
+    tails = array("I")
+    for t, h in g._pairs():
+        if not red[t] >> h & 1:
+            succ[t].append(h)
+            tails.append(t)
+    return Digraph._from_succ(g.vertices, succ, tails)
 
 
 def is_regular(g: Digraph) -> CheckResult:

@@ -19,9 +19,10 @@ combinatorics from running away.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import chain, product, repeat
 from typing import Iterator
 
 from .graphs import (
@@ -128,9 +129,10 @@ class FinitePoset:
 
     def strict_digraph(self) -> Digraph:
         """The strict order as a digraph, arcs in element order."""
-        rows = enumerate(self.strict._masks)
-        arcs = [(i, j) for i, row in rows for j in _iter_bits(row)]
-        return Digraph._from_index_arcs(self.elements, arcs)
+        succ = [list(_iter_bits(row)) for row in self.strict._masks]
+        runs = map(repeat, range(len(succ)), map(len, succ))
+        tails = array("I", chain.from_iterable(runs))
+        return Digraph._from_succ(self.elements, succ, tails)
 
     def __len__(self) -> int:
         return len(self.elements)

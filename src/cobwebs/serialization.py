@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 from array import array
+from collections import deque
 from itertools import chain
+from operator import eq
 from typing import Any, Iterable, Iterator
 
 from .graphs import Digraph, Vertex, _inverse, _resolved
@@ -108,15 +110,115 @@ def graph_to_json(g: Digraph) -> str:
     return "{\n  " + vertices + ",\n  " + arcs + "\n}\n"
 
 
+# each digit to b"0" and every other byte to b"x": a digit run starts at
+# each b"x0", or at the first byte
+_DIGIT_MARKS = bytes(48 if 48 <= b <= 57 else 120 for b in range(256))
+# the bytes of arcs split at a time, so the endpoint texts of about 60,000
+# arcs are held at once, not those of the whole document
+_ARC_BLOCK = 1 << 20
+
+
+def _json_regions(doc: bytes) -> tuple[slice, slice] | None:
+    """The slices inside the 'vertices' and 'arcs' lists of a packed document."""
+    if doc.startswith(b'{"vertices":['):
+        cut = doc.find(b'],"arcs":[', 13, len(doc) - 2)
+        vs, arcs = slice(13, cut), slice(cut + 10, len(doc) - 2)
+    elif doc.startswith(b'{"arcs":['):
+        cut = doc.find(b'],"vertices":[', 9, len(doc) - 2)
+        arcs, vs = slice(9, cut), slice(cut + 14, len(doc) - 2)
+    else:
+        return None
+    return (vs, arcs) if cut >= 0 and doc.endswith(b"]}") else None
+
+
+def _plain_json_graph(text: str) -> Digraph | None:
+    """The graph of a plain graph JSON document, read without decoding it.
+
+    Plain means: without JSON's whitespace and the ASCII digits, the
+    text is exactly ``{"vertices":[[,],...],"arcs":[[[,],[,]],...]}``,
+    either key first, with both keys as written; each slot holds one
+    digit run and no digit is outside a slot; each vertex is a
+    canonical 'position,level' with a position of at least 1, listed
+    once; each arc endpoint is the text of a vertex; and no arc is a
+    loop.  That is checked with C string operations, plus one Python
+    step per vertex and per ``_ARC_BLOCK`` bytes of arcs, and each
+    endpoint is resolved by one dict lookup of its text.  Any other
+    document gives None, for ``graph_from_json`` to decode and word its
+    fault; a plain one decodes to the same graph.
+    """
+    try:
+        raw = text.encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    if b'"vertices"' not in raw or b'"arcs"' not in raw:
+        return None  # whitespace inside a key vanishes from the packed text
+    runs = raw.translate(_DIGIT_MARKS).count(b"x0") + raw[:1].isdigit()
+    packed = raw.translate(None, b" \t\n\r")
+    del raw
+    skeleton = packed.translate(None, b"0123456789")
+    regions = _json_regions(skeleton)
+    if regions is None or b"[," in packed or b",]" in packed:
+        return None
+    vs_part, arcs_part = skeleton[regions[0]], skeleton[regions[1]]
+    del skeleton
+    n, m = (len(vs_part) + 1) // 4, (len(arcs_part) + 1) // 10
+    if (
+        vs_part != (b",[,]" * n)[1:]
+        or arcs_part != (b",[[,],[,]]" * m)[1:]
+        or runs != 2 * n + 4 * m  # so every slot holds exactly one run
+    ):
+        return None
+    del vs_part, arcs_part
+    # with digits in the slots only, the packed text has the same regions
+    vs_slice, arcs_slice = _json_regions(packed)
+    names = packed[vs_slice][1:-1].split(b"],[") if n else []
+    vertices = []
+    for name in names:
+        try:
+            position, level = map(int, name.split(b","))
+        except ValueError:  # an integer past int's digit limit
+            return None
+        if b"%d,%d" % (position, level) != name or position < 1:
+            return None  # a leading zero or position 0
+        vertices.append(Vertex(position, level))
+    index = dict(zip(names, range(n)))
+    if len(index) != n:
+        return None
+    succ: list[list[int]] = [[] for _ in vertices]
+    tails = array("I")
+    # the arcs inside the outer brackets, cut between two arcs in blocks
+    start, stop = arcs_slice.start + 2, arcs_slice.stop - 2
+    while start < stop:
+        end = packed.find(b"]],[[", start + _ARC_BLOCK, stop)
+        end = stop if end < 0 else end
+        ends = packed[start:end].replace(b"]],[[", b"],[").split(b"],[")
+        try:
+            block_tails = list(map(index.__getitem__, ends[::2]))
+            heads = list(map(index.__getitem__, ends[1::2]))
+        except KeyError:
+            return None
+        if any(map(eq, block_tails, heads)):
+            return None
+        deque(map(list.append, map(succ.__getitem__, block_tails), heads), 0)
+        tails.extend(block_tails)
+        start = end + 5
+    return Digraph._from_succ(vertices, succ, tails)
+
+
 def graph_from_json(text: str) -> Digraph:
     """Parse the JSON format straight into vertex indices.
 
-    A key repeated in the top-level object is rejected, not resolved to
-    its last value.  Every vertex and arc is checked for shape first,
-    then the vertex list for duplicates (before any arc is resolved),
-    then each arc for unknown endpoints and loops.  A well-formed arc
-    goes straight into the successor lists and the tails array.
+    A plain document (``_plain_json_graph``) is read without decoding
+    it.  Any other is decoded whole, and a key repeated in its top-level
+    object is rejected, not resolved to its last value.  Every vertex
+    and arc is checked for shape first, then the vertex list for
+    duplicates (before any arc is resolved), then each arc for unknown
+    endpoints and loops.  A well-formed arc goes straight into the
+    successor lists and the tails array.
     """
+    plain = _plain_json_graph(text)
+    if plain is not None:
+        return plain
     repeats: list[tuple[dict[str, Any], str]] = []  # objects that repeat a key
 
     def keep_pairs(pairs: list[tuple[str, Any]]) -> dict[str, Any]:

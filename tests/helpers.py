@@ -309,7 +309,7 @@ def _reference_digraph(vs: tuple[Vertex, ...], arcs) -> Digraph:
 
 
 def reference_from_index_arcs(vertices, arcs) -> Digraph:
-    """``Digraph._from_index_arcs`` with the old per-arc set."""
+    """The old builder from a list of index arcs, with its per-arc set."""
     return _reference_digraph(tuple(vertices), arcs)
 
 

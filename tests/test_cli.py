@@ -7,6 +7,11 @@ import os
 import subprocess
 import sys
 
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
+
 import pytest
 
 from cobwebs.cli import (
@@ -424,6 +429,25 @@ class TestByteOrderMark:
             assert expected[0] == EXIT_OK
             assert run([command, "--input", str(marked)], capsys=capsys) == expected
 
+    def test_whatever_the_locale(self, tmp_path):
+        # files and standard input are read as UTF-8 under an ASCII locale too
+        marked = tmp_path / "marked"
+        marked.write_bytes(b"\xef\xbb\xbf1,0 -> 1,1\n")
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+        expected = "acyclic: PASS\nregular: PASS\nadmissible: PASS\n"
+        for args, stdin in ((["--input", str(marked)], b""), ([], marked.read_bytes())):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cobwebs", "check", *args],
+                input=stdin,
+                capture_output=True,
+                env=env,
+            )
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                EXIT_OK,
+                expected.encode(),
+                b"",
+            )
+
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 class TestFullStdout:
@@ -459,6 +483,40 @@ class TestFullStdout:
         assert proc.returncode == EXIT_BAD_INPUT, proc.stderr
         assert proc.stderr.startswith("error: cannot write -: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.skipif(resource is None, reason="no resource module")
+class TestOutOfMemory:
+    """An input too large for the memory the process may use: exit 2, one line.
+
+    Each child runs alone, its address space capped so that it fails
+    within seconds, whatever memory the machine has.
+    """
+
+    CAP = 256 << 20
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["realize", "--seq", "fib", "--max-level", "24"],
+            ["realize", "--seq", "list:100000,100000", "--max-level", "1"],
+            ["check", "--seq", "const:60000", "--max-level", "2"],
+        ],
+        ids=["fib_24", "two_levels", "const_three_levels"],
+    )
+    def test_exits_2_with_one_stderr_line(self, argv):
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (self.CAP, self.CAP))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "cobwebs", *argv],
+            capture_output=True,
+            text=True,
+            preexec_fn=cap,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (EXIT_BAD_INPUT, ""), proc.stderr
+        assert proc.stderr == "error: out of memory\n"
 
 
 def _broken(*args):

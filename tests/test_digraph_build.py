@@ -183,11 +183,11 @@ class TestReadersMatchTheOldBuilder:
         )
     ))
     def test_index_arcs(self, case):
+        # the public constructor on the vertex pairs of index arcs, loops included
         n, arcs = case
         vs = [Vertex(i, 0) for i in range(1, n + 1)]
-        assert fields(Digraph._from_index_arcs, vs, list(arcs)) == fields(
-            reference_from_index_arcs, vs, arcs
-        )
+        pairs = [(vs[t], vs[h]) for t, h in arcs]
+        assert fields(Digraph, vs, pairs) == fields(reference_from_index_arcs, vs, arcs)
 
 
 class TestChunkedLines:
@@ -260,18 +260,20 @@ class TestArcList:
         assert g._succ is succ
         assert list(g._pairs()) == [(0, 1), (2, 3), (0, 2)]
         arcs = [(0, 1), (2, 3), (0, 2)]
-        g = Digraph._from_index_arcs(self.VS, arcs)
+        g = Digraph(self.VS, [(self.VS[t], self.VS[h]) for t, h in arcs])
         assert list(g._pairs()) == arcs
         assert g._tails == array("I", [0, 2, 0])
         assert g._succ == [[1, 2], [], [3], []]
 
     def test_repeats_are_dropped_from_a_copy(self):
         arcs = [(0, 1), (2, 3), (0, 1), (0, 2), (2, 3)]
-        g = Digraph._from_index_arcs(self.VS, arcs)
+        pairs = [(self.VS[t], self.VS[h]) for t, h in arcs]
+        g = Digraph(self.VS, pairs)
         assert list(g._pairs()) == [(0, 1), (2, 3), (0, 2)]
         assert g._tails == array("I", [0, 2, 0])
         assert g._succ == [[1, 2], [], [3], []]
         assert arcs == [(0, 1), (2, 3), (0, 1), (0, 2), (2, 3)]
+        assert pairs == [(self.VS[t], self.VS[h]) for t, h in arcs]
 
     def test_repeats_are_dropped_from_shared_lists(self):
         # tails 0 and 1 share one list that repeats head 3
@@ -321,11 +323,13 @@ class TestCobwebBuilder:
     @pytest.mark.parametrize("spec", SPECS)
     @pytest.mark.parametrize("max_level", range(11))
     def test_matches_the_index_arc_constructor(self, spec, max_level):
+        # the layered index arcs, as vertex pairs, through the public constructor
         sequence = parse_sequence_spec(spec)
         sizes = [sequence.size(s) for s in range(max_level + 1)]
         vertices = [Vertex(j, s) for s, a in enumerate(sizes) for j in range(1, a + 1)]
         g = build_cobweb(sequence, max_level).hasse
-        expected = Digraph._from_index_arcs(vertices, layered_arcs(sizes))
+        pairs = [(vertices[t], vertices[h]) for t, h in layered_arcs(sizes)]
+        expected = Digraph(vertices, pairs)
         assert g.vertices == expected.vertices
         assert g._index == expected._index
         assert g._succ == expected._succ

@@ -42,7 +42,7 @@ def test_identity_coverage(tmp_path):
     spec.loader.exec_module(identity)
     assert sum(1 for _ in identity.corpus()) == 39_881
     identity.write_inputs(tmp_path)
-    assert len(identity.command_lines(tmp_path)) == 841
+    assert len(identity.command_lines(tmp_path)) == 929
     assert identity.FIELDS == (
         "verdict",
         "regular",

@@ -1,6 +1,7 @@
 """Text format round-trips and golden outputs."""
 
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,10 @@ from cobwebs import (
     decide_orderable,
     descending_chain,
 )
+from cobwebs import serialization
 from cobwebs.serialization import (
     FormatError,
+    _plain_json_graph,
     graph_from_edgelist,
     graph_from_json,
     graph_from_text,
@@ -269,3 +272,155 @@ def test_json_round_trip_random_graphs(data):
     g = Digraph(vs, arcs)
     again = graph_from_json(graph_to_json(g))
     assert again.vertices == g.vertices and again.arcs == g.arcs
+
+
+# ------------------------------------------------- the two JSON reading paths
+
+
+def json_read(text, plain=True):
+    """What graph_from_json makes of text: the stored fields, or the FormatError text.
+
+    With ``plain`` False the plain path is patched to refuse, so every
+    document goes through the decoder.
+    """
+    with mock.patch.object(
+        serialization, "_plain_json_graph", _plain_json_graph if plain else lambda t: None
+    ):
+        try:
+            g = graph_from_json(text)
+        except FormatError as err:
+            return str(err)
+    return g.vertices, list(g._pairs()), list(g._tails), g._succ
+
+
+JSON_CHARS = ' \t\n\r0123456789[],{}":.-+eE_xv\\'
+
+
+@st.composite
+def json_graph_texts(draw):
+    """Small graphs in json.dumps layouts, some with a fault or a mutation."""
+    keys = draw(st.lists(st.tuples(st.integers(0, 12), st.integers(0, 3)), max_size=6))
+    vertices = [list(k) for k in keys]  # a repeated key is a duplicate vertex
+    ends = st.sampled_from(vertices + [[9, 9]]) if vertices else st.just([1, 0])
+    arcs = draw(st.lists(st.lists(ends, min_size=2, max_size=2), max_size=8))
+    doc = {"vertices": vertices, "arcs": arcs}
+    if draw(st.booleans()):
+        doc = {"arcs": arcs, "vertices": vertices}
+    text = json.dumps(
+        doc,
+        indent=draw(st.sampled_from([None, 0, 2, "\t", "\r\n "])),
+        separators=draw(st.sampled_from([None, (",", ":"), (" , ", " : ")])),
+    )
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        i = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(["insert", "delete", "replace", "chunk"]))
+        if kind == "chunk":  # a copy of some stretch of the text, inserted at i
+            j, k = sorted(draw(st.tuples(*[st.integers(0, len(text))] * 2)))
+            text = text[:i] + text[j:k] + text[i:]
+        else:
+            char = draw(st.sampled_from(JSON_CHARS)) if kind != "delete" else ""
+            text = text[:i] + char + text[i + (kind != "insert"):]
+    return text
+
+
+class TestPlainJsonPath:
+    """The plain path gives what the decoder gives, or hands the text to it."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(json_graph_texts(), st.sampled_from([1, 9, 1 << 20]))
+    def test_same_result_as_the_decoder(self, text, block):
+        decoded = json_read(text, plain=False)
+        assert json_read(text) == decoded
+        with mock.patch.object(serialization, "_ARC_BLOCK", block):
+            g = _plain_json_graph(text)  # arcs split in blocks of a few bytes too
+        if g is not None:
+            assert (g.vertices, list(g._pairs()), list(g._tails), g._succ) == decoded
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            {},
+            {"indent": 2},
+            {"separators": (",", ":")},
+            {"indent": "\t"},
+            {"indent": " \r\n"},
+        ],
+    )
+    @pytest.mark.parametrize("arcs_first", [False, True])
+    def test_plain_layouts_are_read_without_decoding(self, layout, arcs_first):
+        g = fib_cobweb(6).hasse
+        doc = json.loads(graph_to_json(g))
+        if arcs_first:
+            doc = {"arcs": doc["arcs"], "vertices": doc["vertices"]}
+        text = json.dumps(doc, **layout)
+        assert _plain_json_graph(text) == g
+        assert json_read(text) == json_read(text, plain=False)
+
+    @pytest.mark.parametrize(
+        "text, vertices, arcs",
+        [
+            ('{"vertices": [[1, 0], [2, 0]], "arcs": []}', 2, 0),
+            ('{"arcs": [], "vertices": [[1, 0], [2, 0]]}', 2, 0),
+            ('{"vertices": [[1, 0], [2, 1]], "arcs": [[[1, 0], [2, 1]]]}', 2, 1),
+            ('{"vertices": [], "arcs": []}', 0, 0),
+        ],
+    )
+    def test_regions_are_counted_apart(self, text, vertices, arcs):
+        # a list of two vertices, [[,],[,]] once packed, reads like one arc
+        g = _plain_json_graph(text)
+        assert (len(g), len(g.arcs)) == (vertices, arcs)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # two vertices where the arcs go, and an arc where the vertices go
+            '{"vertices": [], "arcs": [[1, 0], [2, 0]]}',
+            '{"vertices": [[[1, 0], [2, 0]]], "arcs": []}',
+            # whitespace inside a key vanishes once packed
+            '{"ver tices": [[1, 0]], "arcs": []}',
+            '{"vertices": [[1, 0]], "ar\tcs": []}',
+            '{"vertices": [[1, 0]], "arcs": [], "ver tices": []}',
+            # a digit run before the object, or outside every slot
+            '7{"vertices": [[1, 0]], "arcs": []}',
+            '7{"vertices": [[1, ]], "arcs": []}',
+            '{"vertices": [[1, 0]] 7, "arcs": []}',
+            '{"vertices": [[, 0]] 7, "arcs": []}',
+            '{"vertices": [[1, 0]], "arcs": []}7',
+            # two runs in one slot, and an empty slot
+            '{"vertices": [[1 2, 0]], "arcs": []}',
+            '{"vertices": [[1, 0], [, 1]], "arcs": []}',
+            # keys, numbers and values the decoder words
+            '{"vertices": [[1, 0]], "arcs": [], "name": 1}',
+            '{"\\u0076ertices": [[1, 0]], "arcs": []}',
+            '{"vertices": [[01, 0]], "arcs": []}',
+            '{"vertices": [[1, 00]], "arcs": []}',
+            '{"vertices": [[0, 1]], "arcs": []}',
+            '{"vertices": [[1.0, 1]], "arcs": []}',
+            '{"vertices": [[-1, 1]], "arcs": []}',
+            '{"vertices": [[1e0, 1]], "arcs": []}',
+            '{"vertices": [[1' + "0" * 5000 + ', 0]], "arcs": []}',
+            '{"vertices": [[1, 0], [1, 0]], "arcs": []}',
+            '{"vertices": [[1, 0], [2, 0]], "arcs": [[[1, 0], [3, 0]]]}',
+            '{"vertices": [[1, 0], [2, 0]], "arcs": [[[2, 0], [2, 0]]]}',
+            '{"vertices": [[1, 0]], "vertices": [[1, 0]], "arcs": []}',
+            '{"vertices": [[1, 0]], "arcs": [[[1, 0], [1' + "0" * 5000 + ', 0]]]}',
+            '{"vertices": [[1, 0]], "arcs": []}\u00a0',
+        ],
+    )
+    def test_other_documents_go_to_the_decoder(self, text):
+        assert _plain_json_graph(text) is None
+        assert json_read(text) == json_read(text, plain=False)
+
+    def test_repeated_arcs_are_dropped(self):
+        text = '{"vertices": [[1, 0], [1, 1]], "arcs": [[[1, 0], [1, 1]], [[1, 0], [1, 1]]]}'
+        g = _plain_json_graph(text)
+        assert g is not None and list(g._pairs()) == [(0, 1)]
+        assert json_read(text) == json_read(text, plain=False)
+
+    def test_blocks_cut_between_arcs(self):
+        g = fib_cobweb(7).hasse
+        text = graph_to_json(g)
+        for block in (1, 2, 17, 100, len(text)):
+            with mock.patch.object(serialization, "_ARC_BLOCK", block):
+                h = _plain_json_graph(text)
+            assert h == g and list(h._pairs()) == list(g._pairs())
