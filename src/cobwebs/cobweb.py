@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 
-from .graphs import Digraph, Relation, Vertex
+from .graphs import Digraph, Relation, Vertex, _vertices
 
 __all__ = [
     "CobwebPoset",
@@ -160,7 +160,8 @@ class CobwebPoset:
     successor lists and tails array (``Digraph._from_succ``), built in C
     from the levels' index blocks: the tails of one level share one
     successor list, each arc costs 4 bytes of tails, and no Python step
-    runs per arc.
+    runs per arc.  The vertices are made in one bulk call and sliced into
+    levels, and ``hasse`` builds its vertex index on first lookup.
     """
 
     __slots__ = ("sequence", "max_level", "levels", "hasse")
@@ -168,14 +169,12 @@ class CobwebPoset:
     def __init__(self, sequence: LevelSequence, max_level: int) -> None:
         if max_level < 0:
             raise ValueError(f"max_level must be >= 0, got {max_level}")
-        levels = tuple(
-            tuple(Vertex(j, s) for j in range(1, sequence.size(s) + 1))
-            for s in range(max_level + 1)
-        )
-        vertices = [v for level in levels for v in level]
-        starts = [0]
-        for level in levels:
-            starts.append(starts[-1] + len(level))
+        spans = [range(1, sequence.size(s) + 1) for s in range(max_level + 1)]
+        sizes = list(map(len, spans))
+        rows = chain.from_iterable(map(repeat, range(max_level + 1), sizes))
+        vertices = _vertices(list(zip(chain.from_iterable(spans), rows)))
+        starts = list(accumulate(sizes, initial=0))
+        levels = tuple(tuple(vertices[a:b]) for a, b in zip(starts, starts[1:]))
         # the index blocks of the levels are disjoint, so the arcs are
         # loop-free; every tail of a level shares the next block as its
         # heads, and is repeated once per head in the tails array

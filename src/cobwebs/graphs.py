@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import heapq
 from array import array
-from collections import Counter
-from itertools import filterfalse, islice
+from collections import Counter, deque
+from itertools import filterfalse, islice, repeat
 from operator import itemgetter
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Collection, Iterable, Iterator, Sequence
 
 __all__ = [
     "Arc",
@@ -73,6 +73,23 @@ class Vertex:
         return f"{self.position},{self.level}"
 
 
+# made through __init__, so that the class's shared attribute keys hold both
+# fields; else each vertex that _vertices makes first gets a dict of its own
+Vertex(1, 0)
+
+
+def _vertices(keys: Collection[Sequence[int]]) -> list[Vertex]:
+    """``Vertex(position, level)`` for each key, made in C steps.
+
+    Skips ``__post_init__``: the caller guarantees int coordinates with
+    position >= 1 and level >= 0.
+    """
+    vs = list(map(object.__new__, repeat(Vertex, len(keys))))
+    deque(map(object.__setattr__, vs, repeat("position"), map(itemgetter(0), keys)), 0)
+    deque(map(object.__setattr__, vs, repeat("level"), map(itemgetter(1), keys)), 0)
+    return vs
+
+
 Arc = tuple[Vertex, Vertex]
 
 
@@ -106,14 +123,16 @@ class Digraph:
     ``_tails`` holds each arc's tail in that order, 4 bytes per arc.
     Arc k's head is the next unread head of its tail, so ``_pairs``
     yields the index pairs in order, and ``arcs`` builds the vertex
-    pairs on each read.
+    pairs on each read.  The constructor builds the ``_index`` of
+    vertex to index, which it needs to resolve arcs; a digraph from
+    ``_from_succ`` builds it on first lookup.
     """
 
     __slots__ = ("vertices", "_index", "_succ", "_tails")
 
     def __init__(self, vertices: Iterable[Vertex], arcs: Iterable[Arc] = ()) -> None:
         vs = tuple(vertices)
-        index = _vertex_index(vs)
+        self._index = index = _vertex_index(vs)
         succ: list[list[int]] = [[] for _ in vs]
         tails = array("I")
         for tail, head in arcs:
@@ -122,7 +141,7 @@ class Digraph:
                 _resolved(index, [(tail, head)], vs)  # raises, wording the fault
             succ[t].append(h)
             tails.append(t)
-        self._keep(vs, index, succ, tails)
+        self._keep(vs, succ, tails)
 
     @classmethod
     def _from_succ(
@@ -130,23 +149,23 @@ class Digraph:
     ) -> Digraph:
         """A Digraph that keeps the successor lists and tails array it is given.
 
-        For loop-free arcs, such as the readers' and the cobweb
-        builder's: ``tails`` lists the tails in insertion order and
-        ``succ[t]`` lists t's heads in that order.  The vertices are
-        checked for duplicates, and the arcs for repeats (``_keep``).
+        For distinct vertices and loop-free arcs, such as the readers'
+        and the cobweb builder's; neither is checked here.  ``tails``
+        lists the tails in insertion order and ``succ[t]`` lists t's
+        heads in that order.  The arcs are checked for
+        repeats (``_keep``); no vertex is hashed until the first lookup.
         """
         g = cls.__new__(cls)
-        vs = tuple(vertices)
-        g._keep(vs, _vertex_index(vs), succ, tails)
+        g._keep(tuple(vertices), succ, tails)
         return g
 
-    def _keep(
-        self,
-        vs: tuple[Vertex, ...],
-        index: dict[Vertex, int],
-        succ: list[list[int]],
-        tails: array,
-    ) -> None:
+    def __getattr__(self, name: str) -> Any:  # only for a slot not yet set
+        if name != "_index":
+            raise AttributeError(name)
+        self._index: dict[Vertex, int] = dict(zip(self.vertices, range(len(self))))
+        return self._index
+
+    def _keep(self, vs: tuple[Vertex, ...], succ: list[list[int]], tails: array) -> None:
         """Store the fields, keeping the first occurrence of each arc, in order.
 
         An arc repeats exactly when some tail's heads do, which a ``set``
@@ -155,7 +174,7 @@ class Digraph:
         ``dict.fromkeys``.  So lists without repeats are kept as they
         are, and no set of all the arcs is built.
         """
-        self.vertices, self._index, self._succ, self._tails = vs, index, succ, tails
+        self.vertices, self._succ, self._tails = vs, succ, tails
         distinct = {id(heads): heads for heads in succ}.values()
         if any(len(set(heads)) != len(heads) for heads in distinct):
             kept = dict.fromkeys(self._pairs())

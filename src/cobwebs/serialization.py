@@ -11,10 +11,10 @@ import json
 from array import array
 from collections import deque
 from itertools import chain
-from operator import eq
+from operator import eq, itemgetter
 from typing import Any, Iterable, Iterator
 
-from .graphs import Digraph, Vertex, _inverse, _resolved
+from .graphs import Digraph, Vertex, _inverse, _resolved, _vertex_index, _vertices
 from .realizers import (
     NoAdmissibleChain,
     NotRegular,
@@ -132,19 +132,21 @@ def _json_regions(doc: bytes) -> tuple[slice, slice] | None:
 
 
 def _plain_json_graph(text: str) -> Digraph | None:
-    """The graph of a plain graph JSON document, read without decoding it.
+    """The graph of a plain graph JSON document, read without decoding it whole.
 
     Plain means: without JSON's whitespace and the ASCII digits, the
     text is exactly ``{"vertices":[[,],...],"arcs":[[[,],[,]],...]}``,
-    either key first, with both keys as written; each slot holds one
-    digit run and no digit is outside a slot; each vertex is a
-    canonical 'position,level' with a position of at least 1, listed
-    once; each arc endpoint is the text of a vertex; and no arc is a
-    loop.  That is checked with C string operations, plus one Python
-    step per vertex and per ``_ARC_BLOCK`` bytes of arcs, and each
-    endpoint is resolved by one dict lookup of its text.  Any other
-    document gives None, for ``graph_from_json`` to decode and word its
-    fault; a plain one decodes to the same graph.
+    either key first, with both keys as written; there are as many
+    digit runs as slots; the vertex list parses as JSON, so no slot is
+    empty, no integer has a leading zero and every vertex text is
+    canonical; each position is at least 1 and each vertex is listed
+    once; each arc endpoint is the text of a vertex, so no arc slot is
+    empty either; and no arc is a loop.  That is checked with C string
+    operations, one ``json.loads`` of the vertex list and one Python
+    step per ``_ARC_BLOCK`` bytes of arcs, and each endpoint is resolved
+    by one dict lookup of its text.  Any other document gives None, for
+    ``graph_from_json`` to decode and word its fault; a plain one
+    decodes to the same graph.
     """
     try:
         raw = text.encode("ascii")
@@ -157,7 +159,7 @@ def _plain_json_graph(text: str) -> Digraph | None:
     del raw
     skeleton = packed.translate(None, b"0123456789")
     regions = _json_regions(skeleton)
-    if regions is None or b"[," in packed or b",]" in packed:
+    if regions is None:
         return None
     vs_part, arcs_part = skeleton[regions[0]], skeleton[regions[1]]
     del skeleton
@@ -165,26 +167,26 @@ def _plain_json_graph(text: str) -> Digraph | None:
     if (
         vs_part != (b",[,]" * n)[1:]
         or arcs_part != (b",[[,],[,]]" * m)[1:]
-        or runs != 2 * n + 4 * m  # so every slot holds exactly one run
+        or runs != 2 * n + 4 * m  # an empty slot only with two runs merged
     ):
         return None
     del vs_part, arcs_part
-    # with digits in the slots only, the packed text has the same regions
-    vs_slice, arcs_slice = _json_regions(packed)
+    # a digit run outside the lists moves a region of the packed text
+    regions = _json_regions(packed)
+    if regions is None:
+        return None
+    vs_slice, arcs_slice = regions
+    try:
+        keys = json.loads(b"[" + packed[vs_slice] + b"]")
+    except ValueError:  # an empty slot, a leading zero or an overlong integer
+        return None
+    if min(map(itemgetter(0), keys), default=1) < 1:
+        return None
     names = packed[vs_slice][1:-1].split(b"],[") if n else []
-    vertices = []
-    for name in names:
-        try:
-            position, level = map(int, name.split(b","))
-        except ValueError:  # an integer past int's digit limit
-            return None
-        if b"%d,%d" % (position, level) != name or position < 1:
-            return None  # a leading zero or position 0
-        vertices.append(Vertex(position, level))
     index = dict(zip(names, range(n)))
     if len(index) != n:
         return None
-    succ: list[list[int]] = [[] for _ in vertices]
+    succ: list[list[int]] = [[] for _ in keys]
     tails = array("I")
     # the arcs inside the outer brackets, cut between two arcs in blocks
     start, stop = arcs_slice.start + 2, arcs_slice.stop - 2
@@ -192,7 +194,7 @@ def _plain_json_graph(text: str) -> Digraph | None:
         end = packed.find(b"]],[[", start + _ARC_BLOCK, stop)
         end = stop if end < 0 else end
         ends = packed[start:end].replace(b"]],[[", b"],[").split(b"],[")
-        try:
+        try:  # an empty slot leaves an endpoint text that names no vertex
             block_tails = list(map(index.__getitem__, ends[::2]))
             heads = list(map(index.__getitem__, ends[1::2]))
         except KeyError:
@@ -202,7 +204,7 @@ def _plain_json_graph(text: str) -> Digraph | None:
         deque(map(list.append, map(succ.__getitem__, block_tails), heads), 0)
         tails.extend(block_tails)
         start = end + 5
-    return Digraph._from_succ(vertices, succ, tails)
+    return Digraph._from_succ(_vertices(keys), succ, tails)
 
 
 def graph_from_json(text: str) -> Digraph:
@@ -272,8 +274,11 @@ def graph_from_json(text: str) -> Digraph:
         fault = fault or [(Vertex(*tail), Vertex(*head))]
     try:
         # the duplicate-vertex check comes first, then the first fault
-        g = Digraph._from_succ([Vertex(*key) for key in keys], succ, tails)
-        _resolved(g._index, fault, g.vertices)
+        g = Digraph._from_succ(_vertices(keys), succ, tails)
+        if len(index) < len(keys):
+            _vertex_index(g.vertices)  # raises, naming the first repeat
+        if fault:
+            _resolved(g._index, fault, g.vertices)
     except ValueError as err:
         raise FormatError(str(err)) from None
     return g
@@ -331,27 +336,30 @@ def graph_from_edgelist(text: str) -> Digraph:
     that parse to the same position and level, such as '1,2', '1, 2'
     and '01,2', name the same vertex.  Each token is cached as read,
     whitespace included (such as '18,10 '), so an arc line whose tokens
-    were met before costs one ``partition`` and two dict hits.  Lines
-    are split at '#' only when the text holds one, and only one chunk's
-    lines (``_chunks``) are held at a time.  Each arc goes straight into
-    the successor lists and the tails array; the first loop is raised
-    after the last line, so a malformed line wins over it.
+    were met before costs one ``partition`` and two dict subscripts.
+    Any other line, bare or blank ones too (no empty text is cached),
+    goes to ``lookup``, which range-checks each new vertex on its line.
+    Lines are split at '#' only when the text holds one, and only one
+    chunk's lines (``_chunks``) are held at a time.  Each arc goes
+    straight into the successor lists and the tails array.  The vertices
+    are made after the last line, and then the first loop is raised, so
+    a malformed line wins over it.
     """
     index: dict[tuple[int, int], int] = {}
     cache: dict[str, int] = {}  # each token, as read and stripped, to its vertex
-    vertices: list[Vertex] = []
     succ: list[list[int]] = []
     tails = array("I")
     loop: int | None = None  # the vertex of the first loop
 
-    def lookup(token: str) -> int:  # a token not met before as read
+    def lookup(token: str) -> int:
         name = token.strip()
         i = cache.get(name)
         if i is None:
             key = _vertex_key(name)
             i = index.get(key)
             if i is None:
-                vertices.append(_text_vertex(key, name))
+                if key[0] < 1 or key[1] < 0:
+                    _text_vertex(key, name)  # raises, wording the range error
                 succ.append([])
                 i = index[key] = len(index)
             cache[name] = i
@@ -364,22 +372,22 @@ def graph_from_edgelist(text: str) -> Digraph:
     for lineno, line in enumerate(lines, start=1):
         lhs, arrow, rhs = line.partition("->")
         try:
-            if arrow:
-                t = cache.get(lhs)
-                if t is None:
-                    t = lookup(lhs)
-                h = cache.get(rhs)
-                if h is None:
-                    h = lookup(rhs)
-                if t != h:
-                    succ[t].append(h)
-                    tails.append(t)
-                elif loop is None:
-                    loop = t
-            elif line not in cache and line.strip():
-                lookup(line)
-        except FormatError as err:
-            raise FormatError(f"line {lineno}: {err}") from None
+            t, h = cache[lhs], cache[rhs]
+        except KeyError:
+            try:
+                if not arrow:
+                    if line.strip():
+                        lookup(line)
+                    continue
+                t, h = lookup(lhs), lookup(rhs)
+            except FormatError as err:
+                raise FormatError(f"line {lineno}: {err}") from None
+        if t != h:
+            succ[t].append(h)
+            tails.append(t)
+        elif loop is None:
+            loop = t
+    vertices = _vertices(index)
     if loop is not None:
         raise FormatError(f"loop at {vertices[loop]}")
     return Digraph._from_succ(vertices, succ, tails)

@@ -164,6 +164,32 @@ class TestEdgelist:
         with pytest.raises(FormatError, match="line 2"):
             graph_from_edgelist("1,0 -> 1,1\nbogus")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (
+                "1,0 -> 1,1\n0,1 -> 1,1",
+                "line 2: invalid vertex '0,1': vertex position must be >= 1, got 0",
+            ),
+            (
+                "1,0 -> 1,1\n\n1,1 -> 2,-1",
+                "line 3: invalid vertex '2,-1': vertex level must be >= 0, got -1",
+            ),
+            (  # the loop on line 1 would be raised only after the last line
+                "1,1 -> 1,1\n1,0\n 0,0",
+                "line 3: invalid vertex '0,0': vertex position must be >= 1, got 0",
+            ),
+            (
+                "0,1 -> 0,1",
+                "line 1: invalid vertex '0,1': vertex position must be >= 1, got 0",
+            ),
+        ],
+    )
+    def test_range_error_on_its_line(self, text, message):
+        with pytest.raises(FormatError) as err:
+            graph_from_edgelist(text)
+        assert str(err.value) == message
+
 
 class TestDot:
     def test_golden_output(self):
@@ -410,6 +436,33 @@ class TestPlainJsonPath:
     def test_other_documents_go_to_the_decoder(self, text):
         assert _plain_json_graph(text) is None
         assert json_read(text) == json_read(text, plain=False)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # an empty slot, balanced by two runs merged in one slot, so the
+            # run count matches: in the vertex list and in an arc
+            (
+                '{"vertices": [[1 2, ]], "arcs": []}',
+                "Expecting ',' delimiter: line 1 column 18 (char 17)",
+            ),
+            (
+                '{"vertices": [[1, 0], [2, 1]], "arcs": [[[1, 0], [2 1, ]]]}',
+                "Expecting ',' delimiter: line 1 column 53 (char 52)",
+            ),
+            # an empty slot, balanced by a digit run outside the lists
+            ('7{"vertices": [[1, ]], "arcs": []}', "Extra data: line 1 column 2 (char 1)"),
+            (
+                '{"vertices": [[, 0]] 7, "arcs": []}',
+                "Expecting value: line 1 column 16 (char 15)",
+            ),
+        ],
+    )
+    def test_empty_slots_reach_the_decoder(self, text, message):
+        assert _plain_json_graph(text) is None
+        with pytest.raises(FormatError) as err:
+            graph_from_json(text)
+        assert str(err.value) == "invalid JSON: " + message
 
     def test_repeated_arcs_are_dropped(self):
         text = '{"vertices": [[1, 0], [1, 1]], "arcs": [[[1, 0], [1, 1]], [[1, 0], [1, 1]]]}'
