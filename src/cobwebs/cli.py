@@ -22,6 +22,7 @@ import os
 import sys
 import traceback
 from pathlib import Path
+from typing import Iterable
 
 from .cobweb import SequenceError, SequenceSpecError, build_cobweb, parse_sequence_spec
 from .graphs import CyclicInputError, Digraph
@@ -40,12 +41,12 @@ from .realizers import (
     decide_orderable,
 )
 from .serialization import (
+    _BLOCKS,
     GRAPH_FORMATS,
     FormatError,
     format_vertex,
     graph_from_text,
     realizer_to_json,
-    render_graph,
     verdict_to_json,
 )
 
@@ -73,13 +74,19 @@ def _read_text(path: str) -> str:
         raise _CliError(f"cannot read {path}: {err}")
 
 
-def _write_text(text: str, path: str | None) -> None:
+def _write_text(blocks: Iterable[str], path: str | None) -> None:
+    """Write the blocks of a text one after another, to stdout for None or '-'.
+
+    A file is written as UTF-8.  No more than a block and the stream's
+    buffer are held at a time.
+    """
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
         sys.stdout.flush()  # a failure here comes before any report on stderr
         return
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(blocks)
     except OSError as err:
         raise _CliError(f"cannot write {path}: {err}")
 
@@ -123,12 +130,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
 def _cmd_realize(args: argparse.Namespace) -> int:
     verdict = decide_orderable(_load_graph(args))
     if isinstance(verdict, Orderable):
-        _write_text(realizer_to_json(verdict.realizer), args.output)
+        _write_text([realizer_to_json(verdict.realizer)], args.output)
         # decide_orderable verifies every realizer it returns and raises
         # when one fails, so this reports that check.
         print("verification: PASS", file=sys.stderr)
         return EXIT_OK
-    _write_text(verdict_to_json(verdict), args.output)
+    _write_text([verdict_to_json(verdict)], args.output)
     if isinstance(verdict, NotRegular):
         t, h = verdict.witness
         print(
@@ -152,7 +159,7 @@ def _cmd_dim(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    _write_text(render_graph(_load_graph(args), args.format), args.output)
+    _write_text(_BLOCKS[args.format](_load_graph(args)), args.output)
     return EXIT_OK
 
 

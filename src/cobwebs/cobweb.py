@@ -8,7 +8,6 @@ complete bipartite digraph between each pair of consecutive levels.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 
@@ -157,11 +156,12 @@ class CobwebPoset:
     ``levels[s]`` holds the vertices of level s in ascending position
     order, and ``hasse`` is the cover digraph: every vertex of one level
     points to every vertex of the next.  The builder hands ``hasse`` its
-    successor lists and tails array (``Digraph._from_succ``), built in C
-    from the levels' index blocks: the tails of one level share one
-    successor list, each arc costs 4 bytes of tails, and no Python step
-    runs per arc.  The vertices are made in one bulk call and sliced into
-    levels, and ``hasse`` builds its vertex index on first lookup.
+    successor lists (``Digraph._from_succ``), built in C from the levels'
+    index blocks: the tails of one level share one successor list, and
+    the arc order is canonical, so no tails array is kept and the arcs
+    cost no bytes of their own.  The vertices are made in one bulk call
+    and sliced into levels, and ``hasse`` builds its vertex index on
+    first lookup.
     """
 
     __slots__ = ("sequence", "max_level", "levels", "hasse")
@@ -176,16 +176,13 @@ class CobwebPoset:
         starts = list(accumulate(sizes, initial=0))
         levels = tuple(tuple(vertices[a:b]) for a, b in zip(starts, starts[1:]))
         # the index blocks of the levels are disjoint, so the arcs are
-        # loop-free; every tail of a level shares the next block as its
-        # heads, and is repeated once per head in the tails array
+        # loop-free; every tail of a level shares the next block as its heads
         blocks = [list(range(a, b)) for a, b in zip(starts, starts[1:])]
         succ = [heads for level, heads in zip(blocks, blocks[1:] + [[]]) for _ in level]
-        per_tail = map(repeat, range(len(succ)), map(len, succ))
-        tails = array("I", chain.from_iterable(per_tail))
         self.sequence = sequence
         self.max_level = max_level
         self.levels = levels
-        self.hasse = Digraph._from_succ(vertices, succ, tails)
+        self.hasse = Digraph._from_succ(vertices, succ, None)
 
     def leq(self, x: Vertex, y: Vertex) -> bool:
         """The order relation: x on a strictly lower level, or x == y.

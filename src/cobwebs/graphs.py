@@ -5,10 +5,11 @@ the brute force oracle) works over the small vocabulary defined here:
 vertices labelled by position and level, digraphs with deterministic
 iteration order, chains, and reachability relations.  All reachability-style
 computations run on vertex indices and integer bitmasks: a Digraph
-stores its arcs only as successor lists and an array of tails, and
-reachability is kept as one mask per vertex, either over vertex
-indices or over positions along a chain.  Vertex objects appear only
-where a result is handed back to the caller.
+stores its arcs only as successor lists, plus an array of tails when
+their order is not the canonical one, and reachability is kept as one
+mask per vertex, either over vertex indices or over positions along a
+chain.  Vertex objects appear only where a result is handed back to
+the caller.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from __future__ import annotations
 import heapq
 from array import array
 from collections import Counter, deque
-from itertools import filterfalse, islice, repeat
-from operator import itemgetter
+from itertools import chain, filterfalse, islice, repeat
+from operator import itemgetter, ne
 from dataclasses import dataclass
 from typing import Any, Collection, Iterable, Iterator, Sequence
 
@@ -119,16 +120,22 @@ class Digraph:
     Duplicate arcs are dropped silently; duplicate vertices, loops and
     arcs with unknown endpoints are rejected, the first fault in input
     order deciding the message.  No arc is stored as a pair: ``_succ[t]``
-    lists t's heads in insertion order, and the ``array('I')``
-    ``_tails`` holds each arc's tail in that order, 4 bytes per arc.
-    Arc k's head is the next unread head of its tail, so ``_pairs``
-    yields the index pairs in order, and ``arcs`` builds the vertex
-    pairs on each read.  The constructor builds the ``_index`` of
-    vertex to index, which it needs to resolve arcs; a digraph from
-    ``_from_succ`` builds it on first lookup.
+    lists t's heads in insertion order, and ``_m`` counts the arcs.
+    The arc order is canonical when the tails come in vertex order, each
+    tail's heads in list order; ``_tails`` is then None.  Otherwise the
+    ``array('I')`` ``_tails`` holds each arc's tail in order, 4 bytes per
+    arc, and arc k's head is the next unread head of its tail.  Either
+    way ``_pairs`` yields the index pairs in order, and ``arcs`` builds
+    the vertex pairs on each read.  The constructor and the readers keep
+    a tails array; the cobweb builder, ``FinitePoset.strict_digraph`` and
+    ``transitive_reduction`` of a canonical digraph keep none.  The
+    constructor builds the ``_index`` of vertex to index, which it needs
+    to resolve arcs; a digraph from ``_from_succ`` builds it on first
+    lookup, and a copy or an unpickled digraph holds it only if the
+    original did.
     """
 
-    __slots__ = ("vertices", "_index", "_succ", "_tails")
+    __slots__ = ("vertices", "_index", "_succ", "_tails", "_m")
 
     def __init__(self, vertices: Iterable[Vertex], arcs: Iterable[Arc] = ()) -> None:
         vs = tuple(vertices)
@@ -145,15 +152,17 @@ class Digraph:
 
     @classmethod
     def _from_succ(
-        cls, vertices: Iterable[Vertex], succ: list[list[int]], tails: array
+        cls, vertices: Iterable[Vertex], succ: list[list[int]], tails: array | None
     ) -> Digraph:
         """A Digraph that keeps the successor lists and tails array it is given.
 
         For distinct vertices and loop-free arcs, such as the readers'
-        and the cobweb builder's; neither is checked here.  ``tails``
-        lists the tails in insertion order and ``succ[t]`` lists t's
-        heads in that order.  The arcs are checked for
-        repeats (``_keep``); no vertex is hashed until the first lookup.
+        and the cobweb builder's; neither is checked here.  ``succ[t]``
+        lists t's heads in insertion order; ``tails`` lists the tails in
+        that order, or is None for the canonical order (every tail's
+        heads in turn, in vertex order).  Tails may share one list.  The
+        arcs are checked for repeats (``_keep``); no vertex is hashed
+        until the first lookup.
         """
         g = cls.__new__(cls)
         g._keep(tuple(vertices), succ, tails)
@@ -165,28 +174,52 @@ class Digraph:
         self._index: dict[Vertex, int] = dict(zip(self.vertices, range(len(self))))
         return self._index
 
-    def _keep(self, vs: tuple[Vertex, ...], succ: list[list[int]], tails: array) -> None:
+    def __getstate__(self) -> tuple[None, dict[str, Any]]:
+        """No dict, and the slots that are set, read past ``__getattr__``.
+
+        So a copy or a pickle builds no index.  copy and pickle restore
+        such a state without a ``__setstate__``.
+        """
+        slots = {}
+        for name in self.__slots__:
+            try:
+                slots[name] = object.__getattribute__(self, name)
+            except AttributeError:
+                pass
+        return None, slots
+
+    def _keep(
+        self, vs: tuple[Vertex, ...], succ: list[list[int]], tails: array | None
+    ) -> None:
         """Store the fields, keeping the first occurrence of each arc, in order.
 
         An arc repeats exactly when some tail's heads do, which a ``set``
-        of each distinct successor list finds in C; only then are the
-        successor lists and tails rebuilt without the repeats, through
-        ``dict.fromkeys``.  So lists without repeats are kept as they
-        are, and no set of all the arcs is built.
+        of each successor list finds in C, of each distinct one for a
+        canonical order; only then are the tails array and the distinct
+        lists rebuilt without the repeats, through ``dict.fromkeys``, so
+        tails that shared a list still do.  Lists without repeats are
+        kept as they are, and no set of all the arcs is built.
         """
         self.vertices, self._succ, self._tails = vs, succ, tails
-        distinct = {id(heads): heads for heads in succ}.values()
-        if any(len(set(heads)) != len(heads) for heads in distinct):
-            kept = dict.fromkeys(self._pairs())
-            self._succ = [list(dict.fromkeys(heads)) for heads in succ]
-            self._tails = array("I", map(itemgetter(0), kept))
+        # the builder's tails of one level share a list, which is read once
+        lists = succ if tails is not None else dict(zip(map(id, succ), succ)).values()
+        if any(map(ne, map(len, map(set, lists)), map(len, lists))):
+            if tails is not None:
+                self._tails = array("I", map(itemgetter(0), dict.fromkeys(self._pairs())))
+            kept = {id(heads): list(dict.fromkeys(heads)) for heads in succ}
+            self._succ = [kept[id(heads)] for heads in succ]
+        self._m = sum(map(len, self._succ))
 
     def _pairs(self) -> Iterator[tuple[int, int]]:
         """The arcs as index pairs, in insertion order, without a Python step per arc.
 
-        Each tail gets its own iterator over its successor list, so the
-        pairs come out right when tails share one list.
+        Without a tails array each tail is repeated once per head; with
+        one, each tail gets its own iterator over its successor list, so
+        the pairs come out right when tails share one list.
         """
+        if self._tails is None:
+            per_tail = map(repeat, range(len(self._succ)), map(len, self._succ))
+            return zip(chain.from_iterable(per_tail), chain.from_iterable(self._succ))
         its = list(map(iter, self._succ))
         return zip(self._tails, map(next, map(its.__getitem__, self._tails)))
 
@@ -214,7 +247,7 @@ class Digraph:
         return hash((self.vertices, tuple(map(frozenset, self._succ))))
 
     def __repr__(self) -> str:
-        return f"Digraph({len(self.vertices)} vertices, {len(self._tails)} arcs)"
+        return f"Digraph({len(self.vertices)} vertices, {self._m} arcs)"
 
     def index(self, v: Vertex) -> int:
         try:
@@ -637,7 +670,7 @@ def _along(g: Digraph) -> Analysis:
     one reverse pass and one forward pass over the arcs.  Both give the
     same lists.
     """
-    n, m = len(g), len(g._tails)
+    n, m = len(g), g._m
     if m >= 6 * n:
         twins = _twin_classes(g._succ)
         if m - sum(map(len, twins[2].values())) >= 6 * n:
@@ -680,14 +713,13 @@ def transitive_reduction(g: Digraph) -> Digraph:
 
     Uniqueness holds because g is acyclic; an arc is dropped exactly
     when its head is in its tail's redundant-head mask (_position_reach).
+    The kept arcs keep g's order, so a canonical g gives a canonical result.
     """
     red = _reach_bits(g)[1]
-    succ: list[list[int]] = [[] for _ in g.vertices]
-    tails = array("I")
-    for t, h in g._pairs():
-        if not red[t] >> h & 1:
-            succ[t].append(h)
-            tails.append(t)
+    succ = [[h for h in heads if not red[t] >> h & 1] for t, heads in enumerate(g._succ)]
+    tails = None
+    if g._tails is not None:
+        tails = array("I", [t for t, h in g._pairs() if not red[t] >> h & 1])
     return Digraph._from_succ(g.vertices, succ, tails)
 
 

@@ -19,10 +19,9 @@ combinatorics from running away.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, product, repeat
+from itertools import product
 from typing import Iterator
 
 from .graphs import (
@@ -128,11 +127,12 @@ class FinitePoset:
         return cls(g.vertices, reachability(g))
 
     def strict_digraph(self) -> Digraph:
-        """The strict order as a digraph, arcs in element order."""
+        """The strict order as a digraph, arcs in element order.
+
+        That order is canonical, so the digraph keeps no tails array.
+        """
         succ = [list(_iter_bits(row)) for row in self.strict._masks]
-        runs = map(repeat, range(len(succ)), map(len, succ))
-        tails = array("I", chain.from_iterable(runs))
-        return Digraph._from_succ(self.elements, succ, tails)
+        return Digraph._from_succ(self.elements, succ, None)
 
     def __len__(self) -> int:
         return len(self.elements)

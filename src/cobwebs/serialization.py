@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 from array import array
 from collections import deque
-from itertools import chain
-from operator import eq, itemgetter
+from itertools import chain, islice
+from operator import attrgetter, eq, itemgetter
 from typing import Any, Iterable, Iterator
 
 from .graphs import Digraph, Vertex, _inverse, _resolved, _vertex_index, _vertices
@@ -103,16 +103,41 @@ def _json_vertex_key(item: Any) -> tuple[int, int]:
     raise FormatError(f"expected a vertex as [position, level], got {item!r}")
 
 
-def graph_to_json(g: Digraph) -> str:
+def _json_blocks(g: Digraph) -> Iterator[str]:
+    """graph_to_json's text in blocks: one per tail of a canonical arc order.
+
+    An arc item is its tail's lead, which starts with the ``",\\n    "``
+    before the item, and its head's closer, so a tail's block is one
+    ``str.join`` of its heads' closers.  Arcs in another order come in
+    blocks of ``_ARCS_PER_BLOCK``.
+    """
     texts = [_vertex_json(v) for v in g.vertices]
-    vertices = _block("vertices", texts)
-    arcs = _block("arcs", [f"[{texts[t]}, {texts[h]}]" for t, h in g._pairs()])
-    return "{\n  " + vertices + ",\n  " + arcs + "\n}\n"
+    yield "{\n  " + _block("vertices", texts) + ",\n  "
+    if not g._m:
+        yield '"arcs": []\n}\n'
+        return
+    leads, closers = [f",\n    [{x}, " for x in texts], [x + "]" for x in texts]
+    if g._tails is None:
+        closer = closers.__getitem__
+        pairs = zip(leads, g._succ)
+        blocks = (lead + lead.join(map(closer, heads)) for lead, heads in pairs if heads)
+    else:
+        items = (leads[t] + closers[h] for t, h in g._pairs())
+        blocks = iter(lambda: "".join(islice(items, _ARCS_PER_BLOCK)), "")  # until none is left
+    yield '"arcs": [' + next(blocks)[1:]  # no comma before the first item
+    yield from blocks
+    yield "\n  ]\n}\n"
+
+
+def graph_to_json(g: Digraph) -> str:
+    return "".join(_json_blocks(g))
 
 
 # each digit to b"0" and every other byte to b"x": a digit run starts at
 # each b"x0", or at the first byte
 _DIGIT_MARKS = bytes(48 if 48 <= b <= 57 else 120 for b in range(256))
+# the arcs a writer formats at a time when their order is not canonical
+_ARCS_PER_BLOCK = 1 << 14
 # the bytes of arcs split at a time, so the endpoint texts of about 60,000
 # arcs are held at once, not those of the whole document
 _ARC_BLOCK = 1 << 20
@@ -182,28 +207,31 @@ def _plain_json_graph(text: str) -> Digraph | None:
         return None
     if min(map(itemgetter(0), keys), default=1) < 1:
         return None
-    names = packed[vs_slice][1:-1].split(b"],[") if n else []
-    index = dict(zip(names, range(n)))
-    if len(index) != n:
+    # split at b"],[", an arc [[a,b],[c,d]] leaves the tail text b"[a,b"
+    # and the head text b"c,d]"; so does the vertex list, split at b"],"
+    # and at b",["
+    vs_text = packed[vs_slice]
+    tail_index = dict(zip(vs_text[:-1].split(b"],"), range(n)))
+    head_index = dict(zip(vs_text[1:].split(b",["), range(n)))
+    if len(tail_index) != n:
         return None
     succ: list[list[int]] = [[] for _ in keys]
     tails = array("I")
-    # the arcs inside the outer brackets, cut between two arcs in blocks
-    start, stop = arcs_slice.start + 2, arcs_slice.stop - 2
+    # the arcs inside the outer brackets but one, cut between two arcs in blocks
+    start, stop = arcs_slice.start + 1, arcs_slice.stop - 1
     while start < stop:
-        end = packed.find(b"]],[[", start + _ARC_BLOCK, stop)
-        end = stop if end < 0 else end
-        ends = packed[start:end].replace(b"]],[[", b"],[").split(b"],[")
+        end = packed.find(b"]],[[", start + _ARC_BLOCK, stop) + 1 or stop
+        ends = packed[start:end].split(b"],[")
         try:  # an empty slot leaves an endpoint text that names no vertex
-            block_tails = list(map(index.__getitem__, ends[::2]))
-            heads = list(map(index.__getitem__, ends[1::2]))
+            block_tails = list(map(tail_index.__getitem__, ends[::2]))
+            heads = list(map(head_index.__getitem__, ends[1::2]))
         except KeyError:
             return None
         if any(map(eq, block_tails, heads)):
             return None
         deque(map(list.append, map(succ.__getitem__, block_tails), heads), 0)
         tails.extend(block_tails)
-        start = end + 5
+        start = end + 3
     return Digraph._from_succ(_vertices(keys), succ, tails)
 
 
@@ -286,14 +314,40 @@ def graph_from_json(text: str) -> Digraph:
 
 def _level_order(g: Digraph) -> list[int]:
     """Vertex indices sorted by level, then position."""
-    vs = g.vertices
-    return sorted(range(len(vs)), key=lambda i: (vs[i].level, vs[i].position))
+    keys = list(map(attrgetter("level", "position"), g.vertices))
+    return sorted(range(len(keys)), key=keys.__getitem__)
 
 
-def _sorted_heads(g: Digraph, order: list[int]) -> list[tuple[int, list[int]]]:
-    """Each tail in the vertex ``order`` given, with its heads sorted in it."""
-    rank = _inverse(order)
-    return [(t, sorted(g._succ[t], key=rank.__getitem__)) for t in order]
+def _tail_blocks(
+    g: Digraph, order: list[int], leads: list[str], closers: list[str]
+) -> Iterator[str]:
+    """One block per tail with heads, in ``order``: its arcs' lines, heads sorted so.
+
+    An arc's line is its tail's lead and its head's closer, so a tail's
+    block is one ``str.join`` of its heads' closers.  Each run of tails
+    that share one successor list, such as a built cobweb's level, sorts
+    it once.
+    """
+    by_rank, closer = _inverse(order).__getitem__, closers.__getitem__
+    last: list[int] | None = None
+    for t in order:
+        heads = g._succ[t]
+        if heads is not last:
+            last, ends = heads, list(map(closer, sorted(heads, key=by_rank)))
+        if heads:
+            yield leads[t] + leads[t].join(ends)
+
+
+def _edgelist_blocks(g: Digraph) -> Iterator[str]:
+    """graph_to_edgelist's text in blocks: one per tail, then the isolated vertices."""
+    texts = [format_vertex(v) for v in g.vertices]
+    order = _level_order(g)
+    leads, closers = [x + " -> " for x in texts], [x + "\n" for x in texts]
+    yield from _tail_blocks(g, order, leads, closers)
+    all_heads = set().union(*dict(zip(map(id, g._succ), g._succ)).values())
+    bare = [closers[i] for i in order if not g._succ[i] and i not in all_heads]
+    if bare:
+        yield "".join(bare)
 
 
 def graph_to_edgelist(g: Digraph) -> str:
@@ -302,16 +356,7 @@ def graph_to_edgelist(g: Digraph) -> str:
     Arcs come out sorted by level then position, so the text does not
     preserve the vertex construction order of the digraph.
     """
-    texts = [format_vertex(v) for v in g.vertices]
-    order = _level_order(g)
-    lines = [
-        f"{texts[t]} -> {texts[h]}" for t, heads in _sorted_heads(g, order) for h in heads
-    ]
-    all_heads = set().union(*g._succ)
-    lines.extend(texts[i] for i in order if not g._succ[i] and i not in all_heads)
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
+    return "".join(_edgelist_blocks(g))
 
 
 def _chunks(text: str, size: int = 1 << 16) -> Iterator[str]:
@@ -393,30 +438,34 @@ def graph_from_edgelist(text: str) -> Digraph:
     return Digraph._from_succ(vertices, succ, tails)
 
 
-def graph_to_dot(g: Digraph) -> str:
-    """Graphviz DOT with one rank=same block per level, bottom to top."""
+def _dot_blocks(g: Digraph) -> Iterator[str]:
+    """graph_to_dot's text in blocks: the header and ranks, one per tail, the end."""
     texts = [f'"{format_vertex(v)}"' for v in g.vertices]
     order = _level_order(g)
     by_level: dict[int, list[str]] = {}
     for i in order:
         by_level.setdefault(g.vertices[i].level, []).append(texts[i])
-    lines = ["digraph {", "  rankdir=BT;"]
-    for row in by_level.values():
-        lines.append(f"  {{ rank=same; {'; '.join(row)}; }}")
-    for t, heads in _sorted_heads(g, order):
-        lines.extend(f"  {texts[t]} -> {texts[h]};" for h in heads)
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    ranks = "".join(f"  {{ rank=same; {'; '.join(row)}; }}\n" for row in by_level.values())
+    yield "digraph {\n  rankdir=BT;\n" + ranks
+    leads, closers = [f"  {x} -> " for x in texts], [x + ";\n" for x in texts]
+    yield from _tail_blocks(g, order, leads, closers)
+    yield "}\n"
 
 
-_EMITTERS = {"json": graph_to_json, "dot": graph_to_dot, "edgelist": graph_to_edgelist}
-GRAPH_FORMATS = tuple(_EMITTERS)
+def graph_to_dot(g: Digraph) -> str:
+    """Graphviz DOT with one rank=same block per level, bottom to top."""
+    return "".join(_dot_blocks(g))
+
+
+# each format's text in blocks, which a caller can write without joining them
+_BLOCKS = {"json": _json_blocks, "dot": _dot_blocks, "edgelist": _edgelist_blocks}
+GRAPH_FORMATS = tuple(_BLOCKS)
 
 
 def render_graph(g: Digraph, fmt: str) -> str:
-    if fmt not in _EMITTERS:
+    if fmt not in _BLOCKS:
         raise ValueError(f"unknown graph format {fmt!r}")
-    return _EMITTERS[fmt](g)
+    return "".join(_BLOCKS[fmt](g))
 
 
 def graph_from_text(text: str) -> Digraph:

@@ -437,3 +437,53 @@ def reference_graph_from_json(text: str) -> Digraph:
         return reference_digraph(vertices, arcs)
     except ValueError as err:
         raise FormatError(str(err)) from None
+
+
+def _level_key(u: Vertex) -> tuple[int, int]:
+    return u.level, u.position
+
+
+def _level_sorted_arcs(g: Digraph) -> list[tuple[Vertex, Vertex]]:
+    return sorted(g.arcs, key=lambda arc: (_level_key(arc[0]), _level_key(arc[1])))
+
+
+def reference_graph_to_json(g: Digraph) -> str:
+    """The JSON writer as it was, one string per arc, from the public ``arcs``."""
+
+    def item(u: Vertex) -> str:
+        return f"[{u.position}, {u.level}]"
+
+    def block(name: str, items: list[str]) -> str:
+        if not items:
+            return f'"{name}": []'
+        return f'"{name}": [\n    ' + ",\n    ".join(items) + "\n  ]"
+
+    vertices = block("vertices", [item(u) for u in g.vertices])
+    arcs = block("arcs", [f"[{item(t)}, {item(h)}]" for t, h in g.arcs])
+    return "{\n  " + vertices + ",\n  " + arcs + "\n}\n"
+
+
+def reference_graph_to_edgelist(g: Digraph) -> str:
+    """The edge-list writer as it was: arcs by level and position, then bare vertices."""
+    lines = [f"{t} -> {h}" for t, h in _level_sorted_arcs(g)]
+    touched = {u for arc in g.arcs for u in arc}
+    lines += [str(u) for u in sorted(g.vertices, key=_level_key) if u not in touched]
+    return "".join(line + "\n" for line in lines)
+
+
+def reference_graph_to_dot(g: Digraph) -> str:
+    """The DOT writer as it was: one rank row per level, then the arcs by level."""
+    rows: dict[int, list[str]] = {}
+    for u in sorted(g.vertices, key=_level_key):
+        rows.setdefault(u.level, []).append(f'"{u}"')
+    lines = ["digraph {", "  rankdir=BT;"]
+    lines += [f"  {{ rank=same; {'; '.join(row)}; }}" for row in rows.values()]
+    lines += [f'  "{t}" -> "{h}";' for t, h in _level_sorted_arcs(g)]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+REFERENCE_WRITERS = {
+    "json": reference_graph_to_json,
+    "edgelist": reference_graph_to_edgelist,
+    "dot": reference_graph_to_dot,
+}

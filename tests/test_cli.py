@@ -4,6 +4,7 @@ import argparse
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -24,8 +25,13 @@ from cobwebs.cli import (
     EXIT_OK,
     main,
 )
-from cobwebs import FibonacciSequence, build_cobweb, cli
-from cobwebs.serialization import graph_to_edgelist, graph_to_json
+from cobwebs import FibonacciSequence, build_cobweb, cli, serialization
+from cobwebs.serialization import (
+    graph_from_edgelist,
+    graph_to_edgelist,
+    graph_to_json,
+    render_graph,
+)
 
 from helpers import (
     MALFORMED_JSON,
@@ -53,6 +59,18 @@ def run(args, stdin="", capsys=None, monkeypatch=None):
     code = main(args)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+class WriteRecorder(io.StringIO):
+    """A standard output that keeps each string written to it."""
+
+    def __init__(self, writes: list[str]) -> None:
+        super().__init__()
+        self.writes = writes
+
+    def write(self, text: str) -> int:
+        self.writes.append(text)
+        return len(text)
 
 
 def s3_json() -> str:
@@ -97,6 +115,35 @@ class TestGen:
         assert code == EXIT_OK
         assert out == ""
         assert len(json.loads(target.read_text())["vertices"]) == 3
+
+    @pytest.mark.parametrize("fmt", ["json", "edgelist", "dot"])
+    def test_written_in_blocks(self, fmt, capsys, tmp_path, monkeypatch):
+        # gen writes one block per tail; export of a shuffled file, whose arcs
+        # are not in the canonical order, writes JSON three arcs at a time
+        g = build_cobweb(FibonacciSequence(), 7).hasse
+        lines = graph_to_edgelist(g).splitlines()
+        random.Random(7).shuffle(lines)
+        shuffled = tmp_path / "shuffled.edges"
+        shuffled.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(serialization, "_ARCS_PER_BLOCK", 3)
+        target = tmp_path / "out"
+        for argv, source in [
+            (["gen", "fib", "--max-level", "7"], g),
+            (["export", "--input", str(shuffled)], graph_from_edgelist(shuffled.read_text())),
+        ]:
+            expected = render_graph(source, fmt)
+            code, out, _ = run(argv + ["--format", fmt, "--output", str(target)], capsys=capsys)
+            assert (code, out) == (EXIT_OK, "")
+            assert target.read_text(encoding="utf-8") == expected
+            blocks = list(serialization._BLOCKS[fmt](source))
+            assert len(blocks) > 3
+            with monkeypatch.context() as patch:
+                to_file, to_stdout = [], []
+                patch.setattr(cli, "open", lambda *_, **__: WriteRecorder(to_file), raising=False)
+                patch.setattr(sys, "stdout", WriteRecorder(to_stdout))
+                assert main(argv + ["--format", fmt, "--output", str(target)]) == EXIT_OK
+                assert main(argv + ["--format", fmt]) == EXIT_OK
+            assert to_file == to_stdout == blocks  # each block written as it is
 
     def test_malformed_spec_exits_2(self, capsys):
         code, _, err = run(["gen", "bogus", "--max-level", "2"], capsys=capsys)

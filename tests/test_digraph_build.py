@@ -18,7 +18,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cobwebs import Digraph, Vertex, build_cobweb, parse_sequence_spec
+from cobwebs import (
+    Digraph,
+    FinitePoset,
+    Vertex,
+    build_cobweb,
+    parse_sequence_spec,
+    transitive_reduction,
+)
 from cobwebs.serialization import (
     _chunks,
     graph_from_edgelist,
@@ -291,6 +298,39 @@ class TestArcList:
         assert list(g._pairs()) == arcs_in_order(g)
 
 
+class TestCanonicalOrder:
+    """Without a tails array, each tail's heads in turn, in vertex order."""
+
+    VS = TestArcList.VS
+
+    def test_pairs_and_count(self):
+        heads = [2, 3]
+        g = Digraph._from_succ(self.VS, [heads, heads, [3], []], None)
+        assert list(g._pairs()) == [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        assert g._tails is None and g._m == 5 and repr(g) == "Digraph(4 vertices, 5 arcs)"
+        assert list(g._pairs()) == arcs_in_order(Digraph(self.VS, g.arcs))
+        assert g == Digraph(self.VS, g.arcs) and hash(g) == hash(Digraph(self.VS, g.arcs))
+
+    def test_repeats_are_dropped_from_shared_lists(self):
+        heads = [3, 1, 3]
+        g = Digraph._from_succ(self.VS, [heads, [], heads, []], None)
+        assert list(g._pairs()) == [(0, 3), (0, 1), (2, 3), (2, 1)]
+        assert g._tails is None and g._m == 4
+        assert g._succ == [[3, 1], [], [3, 1], []] and g._succ[0] is g._succ[2]
+        assert heads == [3, 1, 3]
+
+    def test_reduction_keeps_the_kind_of_order(self):
+        built = build_cobweb(parse_sequence_spec("fib"), 6).hasse
+        read = graph_from_edgelist(graph_to_edgelist(built))
+        for g in (built, read):
+            assert (transitive_reduction(g)._tails is None) == (g._tails is None)
+            assert list(transitive_reduction(g)._pairs()) == list(g._pairs())
+        extra = Digraph._from_succ(self.VS, [[1, 2], [2], [], []], None)  # 0 -> 2 is implied
+        reduced = transitive_reduction(extra)
+        assert reduced._tails is None and list(reduced._pairs()) == [(0, 1), (1, 2)]
+        assert FinitePoset.from_digraph(extra).strict_digraph()._tails is None
+
+
 class TestByteOrderMark:
     def test_json_and_edgelist(self):
         json_text = '{"vertices": [[1, 0], [1, 1]], "arcs": [[[1, 0], [1, 1]]]}'
@@ -333,7 +373,7 @@ class TestCobwebBuilder:
         assert g.vertices == expected.vertices
         assert g._index == expected._index
         assert g._succ == expected._succ
-        assert g._tails == expected._tails
+        assert g._tails is None  # the canonical order needs no tails array
         assert list(g._pairs()) == arcs_in_order(expected) == layered_arcs(sizes)
         for u in g.vertices:
             assert g.successors(u) == expected.successors(u)
@@ -344,7 +384,8 @@ class TestMemoryModel:
     """The bytes per arc that a fib 14 Digraph (142,130 arcs) retains.
 
     4 bytes of tails per arc, plus one successor-list slot per arc for
-    parsed input; the builder's tails of one level share one list.
+    parsed input; the builder keeps no tails, and the tails of one level
+    share one list, so its bytes are per vertex.
     """
 
     ARCS = 142_130
@@ -363,7 +404,7 @@ class TestMemoryModel:
         return (after - before) / self.ARCS
 
     def test_built_cobweb(self):
-        assert self.retained_per_arc(partial(build_cobweb, parse_sequence_spec("fib")), 14) < 8
+        assert self.retained_per_arc(partial(build_cobweb, parse_sequence_spec("fib")), 14) < 2
 
     @pytest.mark.parametrize(
         "emit, read",

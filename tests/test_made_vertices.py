@@ -84,6 +84,12 @@ def holds_index(g: Digraph) -> bool:
     return True
 
 
+def copies(g: Digraph) -> list[Digraph]:
+    """g copied shallow and deep, and through pickle at every protocol."""
+    pickled = [pickle.loads(pickle.dumps(g, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    return [copy.copy(g), copy.deepcopy(g), *pickled]
+
+
 class TestMadeVertices:
     @pytest.mark.parametrize("maker", MAKERS)
     def test_like_the_constructor(self, maker):
@@ -190,6 +196,23 @@ class TestIndexOnDemand:
         for g in (plain_json(SOURCE), edgelist(SOURCE)):
             for twin in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
                 assert twin == g and twin._index == Digraph(g.vertices)._index
+
+    @pytest.mark.parametrize("maker", MAKERS)
+    def test_copies_hold_no_index(self, maker):
+        g = MAKERS[maker]()
+        for twin in copies(g):
+            assert not holds_index(twin)
+            assert twin == g and hash(twin) == hash(g)
+            assert (twin.vertices, twin._succ, twin._m) == (g.vertices, g._succ, g._m)
+            assert (twin._tails is None) == (g._tails is None)
+            assert list(twin._pairs()) == list(g._pairs())
+        assert not holds_index(g)
+
+    def test_copies_of_a_constructor_digraph_keep_its_index(self):
+        for twin in copies(SOURCE):
+            assert holds_index(twin) and twin._index == SOURCE._index
+            assert twin == SOURCE and hash(twin) == hash(SOURCE)
+            assert twin.arcs == SOURCE.arcs
 
     def test_other_attributes_still_raise(self):
         g = edgelist(graph_on(3, [(0, 1)]))

@@ -1,6 +1,8 @@
 """Text format round-trips and golden outputs."""
 
 import json
+import random
+from array import array
 from unittest import mock
 
 import pytest
@@ -20,8 +22,9 @@ from cobwebs import (
     decide_orderable,
     descending_chain,
 )
-from cobwebs import serialization
+from cobwebs import serialization, transitive_reduction
 from cobwebs.serialization import (
+    GRAPH_FORMATS,
     FormatError,
     _plain_json_graph,
     graph_from_edgelist,
@@ -36,7 +39,7 @@ from cobwebs.serialization import (
     verdict_to_json,
 )
 
-from helpers import MALFORMED_JSON, fib_cobweb, graph_on, row, v
+from helpers import REFERENCE_WRITERS, MALFORMED_JSON, fib_cobweb, graph_on, row, v
 
 
 class TestVertexText:
@@ -477,3 +480,79 @@ class TestPlainJsonPath:
             with mock.patch.object(serialization, "_ARC_BLOCK", block):
                 h = _plain_json_graph(text)
             assert h == g and list(h._pairs()) == list(g._pairs())
+
+
+def shuffled_edgelist(g, seed):
+    """g read back from its edge list with the lines shuffled: a tails array, not canonical."""
+    lines = graph_to_edgelist(g).splitlines()
+    random.Random(seed).shuffle(lines)
+    return graph_from_edgelist("\n".join(lines))
+
+
+SHARED = [2, 3]  # one successor list for two tails
+STREAMED = {
+    "built": lambda: fib_cobweb(6).hasse,
+    "built path": lambda: build_cobweb(ConstantSequence(1), 9).hasse,
+    "parsed json": lambda: graph_from_json(graph_to_json(fib_cobweb(6).hasse)),
+    "parsed edgelist": lambda: graph_from_edgelist(graph_to_edgelist(fib_cobweb(6).hasse)),
+    "shuffled": lambda: shuffled_edgelist(fib_cobweb(6).hasse, 3),
+    "reduced": lambda: transitive_reduction(shuffled_edgelist(fib_cobweb(5).hasse, 4)),
+    "empty": lambda: Digraph([]),
+    "isolated": lambda: Digraph(
+        [v(2, 1), v(1, 0), v(5, 3), v(1, 1), v(3, 0)], [(v(1, 0), v(2, 1)), (v(1, 1), v(2, 1))]
+    ),
+    "only isolated": lambda: Digraph([v(2, 1), v(1, 0)]),
+    "shared lists": lambda: Digraph._from_succ(row(4), [SHARED, SHARED, [], []], None),
+    "shared lists with tails": lambda: Digraph._from_succ(
+        row(4), [SHARED, SHARED, [], []], array("I", [1, 0, 0, 1])
+    ),
+    "repeats dropped": lambda: graph_on(4, [(0, 2), (1, 3), (0, 2), (3, 0), (1, 3)]),
+    "repeats dropped canonical": lambda: Digraph._from_succ(
+        row(4), [[3, 2, 3], [3, 2, 3], [], []], None
+    ),
+}
+
+
+class TestStreamedWriters:
+    """Each writer's blocks, joined, are its text, and the text is the old writer's."""
+
+    @pytest.mark.parametrize("fmt", GRAPH_FORMATS)
+    @pytest.mark.parametrize("name", STREAMED)
+    def test_joined_blocks_are_the_text(self, name, fmt):
+        g = STREAMED[name]()
+        text = REFERENCE_WRITERS[fmt](g)
+        writer = {"json": graph_to_json, "edgelist": graph_to_edgelist, "dot": graph_to_dot}
+        assert "".join(serialization._BLOCKS[fmt](g)) == text
+        assert writer[fmt](g) == render_graph(g, fmt) == text
+        for arcs in (1, 2, 5):
+            with mock.patch.object(serialization, "_ARCS_PER_BLOCK", arcs):
+                assert "".join(serialization._BLOCKS[fmt](g)) == text
+
+    @pytest.mark.parametrize("fmt, other", [("json", 2), ("edgelist", 0), ("dot", 2)])
+    def test_one_block_per_tail(self, fmt, other):
+        # besides a header and an end, a built cobweb's text holds one tail per block
+        g = fib_cobweb(7).hasse
+        assert g._tails is None
+        blocks = list(serialization._BLOCKS[fmt](g))
+        assert len(blocks) == sum(1 for heads in g._succ if heads) + other
+
+    def test_arcs_in_another_order_come_in_blocks(self):
+        g = shuffled_edgelist(fib_cobweb(6).hasse, 5)
+        assert g._tails is not None
+        with mock.patch.object(serialization, "_ARCS_PER_BLOCK", 7):
+            blocks = list(serialization._BLOCKS["json"](g))
+        assert len(blocks) == 2 + -(-len(g._tails) // 7)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_random_graphs(self, data):
+        n = data.draw(st.integers(0, 6))
+        vs = data.draw(st.permutations([v(p, l) for p in (1, 2) for l in (0, 1, 2)]))[:n]
+        ends = st.integers(0, max(n - 1, 0))
+        drawn = data.draw(st.lists(st.tuples(ends, ends), max_size=12 if n else 0))
+        arcs = [(vs[t], vs[h]) for t, h in drawn if t != h]
+        g = Digraph(vs, arcs)
+        canonical = Digraph._from_succ(vs, [list(heads) for heads in g._succ], None)
+        for fmt in GRAPH_FORMATS:
+            assert render_graph(g, fmt) == REFERENCE_WRITERS[fmt](g)
+            assert render_graph(canonical, fmt) == REFERENCE_WRITERS[fmt](canonical)
