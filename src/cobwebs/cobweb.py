@@ -165,6 +165,7 @@ class CobwebPoset:
     """
 
     __slots__ = ("sequence", "max_level", "levels", "hasse")
+    __getstate__ = Digraph.__getstate__
 
     def __init__(self, sequence: LevelSequence, max_level: int) -> None:
         if max_level < 0:

@@ -127,8 +127,9 @@ class Digraph:
     arc, and arc k's head is the next unread head of its tail.  Either
     way ``_pairs`` yields the index pairs in order, and ``arcs`` builds
     the vertex pairs on each read.  The constructor and the readers keep
-    a tails array; the cobweb builder, ``FinitePoset.strict_digraph`` and
-    ``transitive_reduction`` of a canonical digraph keep none.  The
+    a tails array and drop repeated arcs; the cobweb builder,
+    ``FinitePoset.strict_digraph`` and ``transitive_reduction`` of a
+    canonical digraph keep none, and make no repeats.  The
     constructor builds the ``_index`` of vertex to index, which it needs
     to resolve arcs; a digraph from ``_from_succ`` builds it on first
     lookup, and a copy or an unpickled digraph holds it only if the
@@ -160,9 +161,10 @@ class Digraph:
         and the cobweb builder's; neither is checked here.  ``succ[t]``
         lists t's heads in insertion order; ``tails`` lists the tails in
         that order, or is None for the canonical order (every tail's
-        heads in turn, in vertex order).  Tails may share one list.  The
-        arcs are checked for repeats (``_keep``); no vertex is hashed
-        until the first lookup.
+        heads in turn, in vertex order).  Tails may share one list.  Only
+        arcs with a tails array are checked for repeats (``_keep``);
+        canonical lists, which must not repeat a head, are kept as given,
+        and no vertex is hashed until the first lookup.
         """
         g = cls.__new__(cls)
         g._keep(tuple(vertices), succ, tails)
@@ -177,8 +179,9 @@ class Digraph:
     def __getstate__(self) -> tuple[None, dict[str, Any]]:
         """No dict, and the slots that are set, read past ``__getattr__``.
 
-        So a copy or a pickle builds no index.  copy and pickle restore
-        such a state without a ``__setstate__``.
+        So a copy or a pickle builds no index (nor a chain's rank), at
+        every protocol; copy and pickle restore such a state without a
+        ``__setstate__``.  Relation, Chain and CobwebPoset share it.
         """
         slots = {}
         for name in self.__slots__:
@@ -193,21 +196,16 @@ class Digraph:
     ) -> None:
         """Store the fields, keeping the first occurrence of each arc, in order.
 
-        An arc repeats exactly when some tail's heads do, which a ``set``
-        of each successor list finds in C, of each distinct one for a
-        canonical order; only then are the tails array and the distinct
-        lists rebuilt without the repeats, through ``dict.fromkeys``, so
-        tails that shared a list still do.  Lists without repeats are
-        kept as they are, and no set of all the arcs is built.
+        Only lists with a tails array (from the readers, the constructor
+        or the reduction of a read graph) can repeat a head; a ``set`` of
+        each finds a repeat in C, and only then are the tails array and
+        the lists rebuilt without the repeats, through ``dict.fromkeys``.
+        Lists without repeats are kept, and no set of all the arcs is built.
         """
         self.vertices, self._succ, self._tails = vs, succ, tails
-        # the builder's tails of one level share a list, which is read once
-        lists = succ if tails is not None else dict(zip(map(id, succ), succ)).values()
-        if any(map(ne, map(len, map(set, lists)), map(len, lists))):
-            if tails is not None:
-                self._tails = array("I", map(itemgetter(0), dict.fromkeys(self._pairs())))
-            kept = {id(heads): list(dict.fromkeys(heads)) for heads in succ}
-            self._succ = [kept[id(heads)] for heads in succ]
+        if tails is not None and any(map(ne, map(len, map(set, succ)), map(len, succ))):
+            self._tails = array("I", map(itemgetter(0), dict.fromkeys(self._pairs())))
+            self._succ = [list(dict.fromkeys(heads)) for heads in succ]
         self._m = sum(map(len, self._succ))
 
     def _pairs(self) -> Iterator[tuple[int, int]]:
@@ -309,6 +307,7 @@ class Relation:
     """
 
     __slots__ = ("vertices", "_masks", "_index")
+    __getstate__ = Digraph.__getstate__
 
     def __init__(self, vertices: Iterable[Vertex], pairs: Iterable[Arc]) -> None:
         vs = tuple(vertices)
@@ -366,6 +365,7 @@ class Chain:
     """
 
     __slots__ = ("order", "_rank")
+    __getstate__ = Digraph.__getstate__
 
     def __init__(self, order: Iterable[Vertex]) -> None:
         self.order: tuple[Vertex, ...] = tuple(order)

@@ -303,25 +303,28 @@ def _realizer_positions(
     chains are P ∪ T and P ∪ T⁻¹ for a transitive orientation T of the
     incomparability graph; with ``out`` T's out-degrees, they list the
     positions by falling |reach| + out and n - 1 - |above| - out.
-    Kahn's order is tried first (``out``: its incomparable positions
-    after p), and is P ∪ T exactly when the second key, its conjugate's
-    score, takes n values.  Every cobweb takes that exit, which saves
-    _orient_incomparability: the levels of a cobweb are cliques of the
-    incomparability graph, in which every pair would be an implication
-    class of its own.  The pair is verified against ``reach``, which
-    does not depend on T, and AssertionError is raised if it fails.
+    Kahn's order is tried first, and is P ∪ T exactly when the second
+    key, its conjugate's score, takes n values; its ``out`` (the
+    incomparable positions after p) makes the first key n - 1 - p, so
+    the chains are Kahn's order and the positions by falling score.
+    Every cobweb takes that exit, which saves _orient_incomparability:
+    the levels of a cobweb are cliques of the incomparability graph, in
+    which every pair would be an implication class of its own.  The pair
+    is verified against ``reach``, which does not depend on T, and
+    AssertionError is raised if it fails.
     """
     n = len(reach)
-    if len(set(_conjugate_scores(reach, above))) == n:
-        out = [n - 1 - p - r.bit_count() for p, r in enumerate(reach)]
+    score = _conjugate_scores(reach, above)
+    if len(set(score)) == n:
+        chains = list(range(n)), _ranked(score)
     else:
         out = _orient_incomparability(reach, above)
-    if out is None:
-        return None
-    chains = (
-        _ranked([reach[p].bit_count() + out[p] for p in range(n)]),
-        _ranked([n - 1 - above[p].bit_count() - out[p] for p in range(n)]),
-    )
+        if out is None:
+            return None
+        chains = (
+            _ranked([reach[p].bit_count() + out[p] for p in range(n)]),
+            _ranked([n - 1 - above[p].bit_count() - out[p] for p in range(n)]),
+        )
     if any(_mismatch_masks(reach, *chains)):
         raise AssertionError("constructed realizer failed verification")
     return chains

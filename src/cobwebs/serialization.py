@@ -14,7 +14,7 @@ from itertools import chain, islice
 from operator import attrgetter, eq, itemgetter
 from typing import Any, Iterable, Iterator
 
-from .graphs import Digraph, Vertex, _inverse, _resolved, _vertex_index, _vertices
+from .graphs import Digraph, Vertex, _inverse, _vertices
 from .realizers import (
     NoAdmissibleChain,
     NotRegular,
@@ -169,9 +169,9 @@ def _plain_json_graph(text: str) -> Digraph | None:
     empty either; and no arc is a loop.  That is checked with C string
     operations, one ``json.loads`` of the vertex list and one Python
     step per ``_ARC_BLOCK`` bytes of arcs, and each endpoint is resolved
-    by one dict lookup of its text.  Any other document gives None, for
-    ``graph_from_json`` to decode and word its fault; a plain one
-    decodes to the same graph.
+    by one dict lookup of its text.  Any other document gives None;
+    ``graph_from_json`` decodes it and hands its lists back here,
+    written compactly, so this is the one builder of a graph from JSON.
     """
     try:
         raw = text.encode("ascii")
@@ -235,16 +235,24 @@ def _plain_json_graph(text: str) -> Digraph | None:
     return Digraph._from_succ(_vertices(keys), succ, tails)
 
 
-def graph_from_json(text: str) -> Digraph:
-    """Parse the JSON format straight into vertex indices.
+def _json_arc_keys(item: Any) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The endpoint keys of a JSON arc ``[tail, head]``."""
+    if not isinstance(item, list) or len(item) != 2:
+        raise FormatError(f"expected an arc as [tail, head], got {item!r}")
+    return _json_vertex_key(item[0]), _json_vertex_key(item[1])
 
-    A plain document (``_plain_json_graph``) is read without decoding
-    it.  Any other is decoded whole, and a key repeated in its top-level
-    object is rejected, not resolved to its last value.  Every vertex
-    and arc is checked for shape first, then the vertex list for
-    duplicates (before any arc is resolved), then each arc for unknown
-    endpoints and loops.  A well-formed arc goes straight into the
-    successor lists and the tails array.
+
+def graph_from_json(text: str) -> Digraph:
+    """Parse the JSON format; ``_plain_json_graph`` builds every graph.
+
+    A plain document is read without decoding it.  Any other is decoded
+    whole, a key repeated in its top-level object is rejected (not
+    resolved to its last value), and its two lists are written back
+    compactly for ``_plain_json_graph``: that text is plain exactly when
+    the document has no fault.  Otherwise each vertex, then each arc, is
+    checked for shape, and the public ``Digraph`` constructor words the
+    first duplicate vertex (before any arc is resolved), or else the
+    first arc with an unknown endpoint or a loop.
     """
     plain = _plain_json_graph(text)
     if plain is not None:
@@ -277,39 +285,19 @@ def graph_from_json(text: str) -> Digraph:
         payload["arcs"], list
     ):
         raise FormatError("'vertices' and 'arcs' must be lists")
+    lists = {"vertices": payload["vertices"], "arcs": payload["arcs"]}
+    compact = json.dumps(lists, separators=(",", ":"), check_circular=False)
+    del payload, lists  # the decoded lists go before the compact text is read
+    plain = _plain_json_graph(compact)
+    if plain is not None:
+        return plain
+    payload = json.loads(compact)
     keys = [_json_vertex_key(item) for item in payload["vertices"]]
-    index = {key: i for i, key in enumerate(keys)}
-    succ: list[list[int]] = [[] for _ in keys]
-    tails = array("I")
-    fault: list[tuple[Vertex, Vertex]] = []  # first arc with an unknown end or a loop
-    for item in payload["arcs"]:
-        # Among JSON values only a 2-list of two 2-lists of ints unpacks
-        # to four ints, so a well-formed arc costs no call.
-        try:
-            (tp, tl), (hp, hl) = item
-        except (TypeError, ValueError):
-            pass
-        else:
-            if type(tp) is type(tl) is type(hp) is type(hl) is int:
-                t, h = index.get((tp, tl)), index.get((hp, hl))
-                if t is not None and h is not None and t != h:
-                    succ[t].append(h)
-                    tails.append(t)
-                    continue
-        if not isinstance(item, list) or len(item) != 2:
-            raise FormatError(f"expected an arc as [tail, head], got {item!r}")
-        tail, head = _json_vertex_key(item[0]), _json_vertex_key(item[1])
-        fault = fault or [(Vertex(*tail), Vertex(*head))]
-    try:
-        # the duplicate-vertex check comes first, then the first fault
-        g = Digraph._from_succ(_vertices(keys), succ, tails)
-        if len(index) < len(keys):
-            _vertex_index(g.vertices)  # raises, naming the first repeat
-        if fault:
-            _resolved(g._index, fault, g.vertices)
+    ends = [_json_arc_keys(item) for item in payload["arcs"]]
+    try:  # the reference, which words the first fault
+        return Digraph(_vertices(keys), [(Vertex(*t), Vertex(*h)) for t, h in ends])
     except ValueError as err:
         raise FormatError(str(err)) from None
-    return g
 
 
 def _level_order(g: Digraph) -> list[int]:

@@ -311,13 +311,27 @@ class TestCanonicalOrder:
         assert list(g._pairs()) == arcs_in_order(Digraph(self.VS, g.arcs))
         assert g == Digraph(self.VS, g.arcs) and hash(g) == hash(Digraph(self.VS, g.arcs))
 
-    def test_repeats_are_dropped_from_shared_lists(self):
-        heads = [3, 1, 3]
-        g = Digraph._from_succ(self.VS, [heads, [], heads, []], None)
+    def test_the_package_never_repeats_a_head(self):
+        # so no canonical list is checked for repeats
+        for spec in SPECS:
+            for max_level in range(11):
+                built = build_cobweb(parse_sequence_spec(spec), max_level).hasse
+                made = (
+                    built,
+                    transitive_reduction(built),
+                    FinitePoset.from_digraph(built).strict_digraph(),
+                )
+                for g in made:
+                    assert g._tails is None
+                    assert all(len(set(heads)) == len(heads) for heads in g._succ)
+
+    def test_lists_are_kept_as_given(self):
+        heads = [3, 1]
+        succ = [heads, [], heads, []]
+        g = Digraph._from_succ(self.VS, succ, None)
+        assert g._succ is succ and g._succ[0] is g._succ[2] is heads
         assert list(g._pairs()) == [(0, 3), (0, 1), (2, 3), (2, 1)]
-        assert g._tails is None and g._m == 4
-        assert g._succ == [[3, 1], [], [3, 1], []] and g._succ[0] is g._succ[2]
-        assert heads == [3, 1, 3]
+        assert g._tails is None and g._m == 4 and heads == [3, 1]
 
     def test_reduction_keeps_the_kind_of_order(self):
         built = build_cobweb(parse_sequence_spec("fib"), 6).hasse

@@ -84,7 +84,7 @@ def holds_index(g: Digraph) -> bool:
     return True
 
 
-def copies(g: Digraph) -> list[Digraph]:
+def copies(g):
     """g copied shallow and deep, and through pickle at every protocol."""
     pickled = [pickle.loads(pickle.dumps(g, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
     return [copy.copy(g), copy.deepcopy(g), *pickled]
@@ -219,6 +219,64 @@ class TestIndexOnDemand:
         with pytest.raises(AttributeError):
             g.missing
         assert not holds_index(g)
+
+
+def set_slots(obj) -> dict:
+    """The slots of obj that are set, with their values, read without building any."""
+    out = {}
+    for name in type(obj).__slots__:
+        try:
+            out[name] = getattr(type(obj), name).__get__(obj)
+        except AttributeError:
+            pass
+    return out
+
+
+def realizer_chain():
+    chain = decide_orderable(fib_cobweb(5).hasse).realizer.first
+    assert "_rank" not in set_slots(chain)
+    return chain
+
+
+SLOTTED = {
+    "cobweb": lambda: fib_cobweb(5),
+    "relation": lambda: reachability(SOURCE),
+    "public chain": lambda: Chain(SOURCE.vertices),
+    "realizer chain": realizer_chain,
+}
+# frozen dataclasses that hold the slotted types
+HOLDERS = {
+    "poset": lambda: FinitePoset.from_digraph(SOURCE),
+    "verdict": lambda: decide_orderable(fib_cobweb(5).hasse),
+}
+
+
+class TestSlottedState:
+    """Every public slotted type copies and pickles at every protocol, building nothing."""
+
+    @pytest.mark.parametrize("maker", SLOTTED)
+    def test_same_slots(self, maker):
+        obj = SLOTTED[maker]()
+        state = set_slots(obj)
+        for twin in copies(obj):
+            assert type(twin) is type(obj)
+            assert set_slots(twin) == state
+        assert set_slots(obj) == state  # the original built nothing either
+
+    @pytest.mark.parametrize("maker", HOLDERS)
+    def test_holders(self, maker):
+        obj = HOLDERS[maker]()
+        for twin in copies(obj):
+            assert twin == obj and repr(twin) == repr(obj)
+
+    def test_realizer_chains_build_no_rank(self):
+        verdict = decide_orderable(fib_cobweb(5).hasse)
+        for twin in copies(verdict):
+            for chain in (twin.realizer.first, twin.realizer.second):
+                assert "_rank" not in set_slots(chain)
+            assert verify_realizer(twin.realizer)
+        for chain in (verdict.realizer.first, verdict.realizer.second):
+            assert "_rank" not in set_slots(chain)
 
 
 def test_made_vertices_take_no_more_memory():

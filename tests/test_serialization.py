@@ -309,8 +309,9 @@ def test_json_round_trip_random_graphs(data):
 def json_read(text, plain=True):
     """What graph_from_json makes of text: the stored fields, or the FormatError text.
 
-    With ``plain`` False the plain path is patched to refuse, so every
-    document goes through the decoder.
+    With ``plain`` False the plain path is patched to refuse, also for
+    the decoder's compact text, so every document is decoded and falls
+    through to the public ``Digraph`` constructor, the reference.
     """
     with mock.patch.object(
         serialization, "_plain_json_graph", _plain_json_graph if plain else lambda t: None
@@ -353,7 +354,7 @@ def json_graph_texts(draw):
 
 
 class TestPlainJsonPath:
-    """The plain path gives what the decoder gives, or hands the text to it."""
+    """The plain path gives what the public constructor gives, or hands the text on."""
 
     @settings(max_examples=500, deadline=None)
     @given(json_graph_texts(), st.sampled_from([1, 9, 1 << 20]))
@@ -482,6 +483,78 @@ class TestPlainJsonPath:
             assert h == g and list(h._pairs()) == list(g._pairs())
 
 
+# documents that only the decoder reads, each written with {vs} and {arcs}
+DECODED = {
+    "extra key": '{{"name": "fib 16, [[1, 0]] über 3", "vertices": {vs}, "arcs": {arcs}}}',
+    "escaped key": '{{"\\u0076ertices": {vs}, "arcs": {arcs}}}',
+    "negative zero": '{{"vertices": {vs}, "arcs": {arcs}}}',
+}
+VS = "[[1, 0], [2, 0], [1, 1]]"
+
+
+def decoded_doc(form, vs, arcs):
+    if form == "negative zero":
+        vs, arcs = vs.replace(", 0]", ", -0]"), arcs.replace(", 0]", ", -0]")
+    text = DECODED[form].format(vs=vs, arcs=arcs)
+    assert _plain_json_graph(text) is None
+    return text
+
+
+class TestDecodedDocuments:
+    """A decoded document reads as its compact form, which the plain path reads."""
+
+    @pytest.mark.parametrize("form", DECODED)
+    @pytest.mark.parametrize(
+        "arcs", ["[]", "[[[1, 0], [1, 1]], [[2, 0], [1, 1]]]", "[[[2, 0], [1, 1]]] "]
+    )
+    def test_fields_of_the_compact_form(self, form, arcs):
+        g = graph_from_json(decoded_doc(form, VS, arcs))
+        compact = json.dumps(
+            {"vertices": json.loads(VS), "arcs": json.loads(arcs)}, separators=(",", ":")
+        )
+        expected = _plain_json_graph(compact)
+        assert (g.vertices, list(g._pairs()), g._tails, g._succ, g._m) == (
+            expected.vertices,
+            list(expected._pairs()),
+            expected._tails,
+            expected._succ,
+            expected._m,
+        )
+        assert "_index" not in g.__getstate__()[1]
+
+    @pytest.mark.parametrize("form", DECODED)
+    @pytest.mark.parametrize(
+        "vs, arcs, message",
+        [
+            # shapes first, in input order, then the constructor's faults
+            (
+                "[[1, 0], [1.0, 1]]",
+                "[[[1, 0], [9, 0]]]",
+                "expected a vertex as [position, level], got [1.0, 1]",
+            ),
+            (VS, "[[[1, 0], [9, 0]], [[1, 0]]]", "expected an arc as [tail, head], got [[1, 0]]"),
+            (
+                VS,
+                "[[[1, 0], [1, 1]], [[1, 0], [1, 0]], [[2, 0], true]]",
+                "expected a vertex as [position, level], got True",
+            ),
+            ("[[1, 0], [2, 0], [1, 0]]", "[[[1, 0], [9, 0]]]", "duplicate vertex 1,0"),
+            (
+                VS,
+                "[[[1, 0], [1, 1]], [[9, 0], [1, 1]], [[2, 0], [2, 0]]]",
+                "arc endpoint 9,0 is not a vertex",
+            ),
+            (VS, "[[[1, 0], [1, 1]], [[2, 0], [2, 0]], [[9, 0], [1, 1]]]", "loop at 2,0"),
+        ],
+    )
+    def test_faults_keep_their_messages(self, form, vs, arcs, message):
+        text = decoded_doc(form, vs, arcs)
+        with pytest.raises(FormatError) as err:
+            graph_from_json(text)
+        assert str(err.value) == message
+        assert json_read(text) == json_read(text, plain=False) == message
+
+
 def shuffled_edgelist(g, seed):
     """g read back from its edge list with the lines shuffled: a tails array, not canonical."""
     lines = graph_to_edgelist(g).splitlines()
@@ -507,9 +580,6 @@ STREAMED = {
         row(4), [SHARED, SHARED, [], []], array("I", [1, 0, 0, 1])
     ),
     "repeats dropped": lambda: graph_on(4, [(0, 2), (1, 3), (0, 2), (3, 0), (1, 3)]),
-    "repeats dropped canonical": lambda: Digraph._from_succ(
-        row(4), [[3, 2, 3], [3, 2, 3], [], []], None
-    ),
 }
 
 
