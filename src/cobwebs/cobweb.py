@@ -8,8 +8,9 @@ complete bipartite digraph between each pair of consecutive levels.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 
 from .graphs import Digraph, Relation, Vertex, _vertices
 
@@ -161,7 +162,8 @@ class CobwebPoset:
     the arc order is canonical, so no tails array is kept and the arcs
     cost no bytes of their own.  The vertices are made in one bulk call
     and sliced into levels, and ``hasse`` builds its vertex index on
-    first lookup.
+    first lookup.  A poset of more than ``sys.maxsize`` vertices, which
+    no index reaches, raises MemoryError at the first level past it.
     """
 
     __slots__ = ("sequence", "max_level", "levels", "hasse")
@@ -170,11 +172,14 @@ class CobwebPoset:
     def __init__(self, sequence: LevelSequence, max_level: int) -> None:
         if max_level < 0:
             raise ValueError(f"max_level must be >= 0, got {max_level}")
-        spans = [range(1, sequence.size(s) + 1) for s in range(max_level + 1)]
-        sizes = list(map(len, spans))
-        rows = chain.from_iterable(map(repeat, range(max_level + 1), sizes))
+        starts = [0]
+        for s in range(max_level + 1):  # no size is asked for past the index limit
+            starts.append(starts[-1] + sequence.size(s))
+            if starts[-1] > sys.maxsize:
+                raise MemoryError(f"more than {sys.maxsize} vertices up to level {s}")
+        spans = [range(1, b - a + 1) for a, b in zip(starts, starts[1:])]
+        rows = chain.from_iterable(map(repeat, range(max_level + 1), map(len, spans)))
         vertices = _vertices(list(zip(chain.from_iterable(spans), rows)))
-        starts = list(accumulate(sizes, initial=0))
         levels = tuple(tuple(vertices[a:b]) for a, b in zip(starts, starts[1:]))
         # the index blocks of the levels are disjoint, so the arcs are
         # loop-free; every tail of a level shares the next block as its heads

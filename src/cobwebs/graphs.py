@@ -7,9 +7,9 @@ iteration order, chains, and reachability relations.  All reachability-style
 computations run on vertex indices and integer bitmasks: a Digraph
 stores its arcs only as successor lists, plus an array of tails when
 their order is not the canonical one, and reachability is kept as one
-mask per vertex, either over vertex indices or over positions along a
-chain.  Vertex objects appear only where a result is handed back to
-the caller.
+mask per vertex, over vertex indices or positions along a chain, made
+by one reverse and one forward pass for vertices and twin classes alike.
+Vertex objects appear only where a result is handed back to the caller.
 """
 
 from __future__ import annotations
@@ -477,50 +477,53 @@ def topological_order(g: Digraph) -> tuple[Vertex, ...]:
     return tuple(g.vertices[i] for i in _acyclic_order(g))
 
 
+Analysis = tuple[list[int], list[int], list[int], list[int], list[int]]
+Twins = tuple[list[int], dict[int, list[int]], dict[int, list[int]]]
+Successors = Sequence[list[int]] | dict[int, list[int]]  # per vertex or per twin class
+
+
 def _position_reach(
-    succ: list[list[int]], order: Sequence[int], pos_of: Sequence[int]
+    succ: Successors, order: Sequence[int], slot: Sequence[int], at: Sequence[int]
 ) -> tuple[list[int], list[int]]:
     """Reach and redundant-head masks along a chain, from one reverse pass.
 
-    ``order`` is a topological order of the vertex indices and
-    ``pos_of[i]`` the chain position of vertex i.  Bit q of ``reach[p]``
-    is set when position q is reachable, via >= 1 arc, from position p.
-    ``red[p]`` holds p's redundant heads: the heads q of arcs p -> q
-    that a longer path implies, because another head reaches q.  With
-    ``pos_of`` the identity, positions are vertex indices.
+    A node is a vertex, with ``at[i] == 1 << pos_of[i]`` and ``slot[i]
+    == pos_of[i]``, or a twin class whose ``at`` holds its members'
+    positions (_along_twins).  ``order`` is a topological order of the
+    nodes and ``slot[i]`` indexes node i's masks.  Bit q of
+    ``reach[slot[i]]`` is set when position q is reachable, via >= 1
+    arc, from i.  ``red[slot[i]]`` holds i's redundant heads: those that
+    another head reaches.  With ``pos_of`` the identity, positions are
+    vertex indices.
     """
-    reach = [0] * len(order)
-    red = [0] * len(order)
+    reach = [0] * len(slot)
+    red = [0] * len(slot)
     for i in reversed(order):
         acc = heads = 0
         for j in succ[i]:
-            q = pos_of[j]
-            acc |= reach[q]
-            heads |= 1 << q
-        p = pos_of[i]
-        red[p] = acc & heads
-        reach[p] = acc | heads
+            acc |= reach[slot[j]]
+            heads |= at[j]
+        s = slot[i]
+        red[s] = acc & heads
+        reach[s] = acc | heads
     return reach, red
 
 
 def _above_masks(
-    succ: list[list[int]], order: Sequence[int], pos_of: Sequence[int]
+    succ: Successors, order: Sequence[int], slot: Sequence[int], at: Sequence[int]
 ) -> list[int]:
-    """Per position p along a linear extension, the positions from which p is reachable.
+    """Per node, the chain positions from which it is reachable.
 
-    ``order`` lists the extension's vertex indices and ``pos_of`` is its
-    inverse; one forward pass over the arcs.
+    The arguments are _position_reach's; bit q of ``above[slot[i]]`` is
+    set when node i is reachable, via >= 1 arc, from position q.  One
+    forward pass over the arcs.
     """
-    above = [0] * len(order)
-    for p, i in enumerate(order):
-        mask = above[p] | (1 << p)
+    above = [0] * len(slot)
+    for i in order:
+        mask = above[slot[i]] | at[i]
         for j in succ[i]:
-            above[pos_of[j]] |= mask
+            above[slot[j]] |= mask
     return above
-
-
-Analysis = tuple[list[int], list[int], list[int], list[int], list[int]]
-Twins = tuple[list[int], dict[int, list[int]], dict[int, list[int]]]
 
 
 def _twin_classes(succ: list[list[int]]) -> Twins:
@@ -603,10 +606,11 @@ def _along_twins(
     Kahn's heap holds vertex indices and receives every member of a
     class at once: twins have the same predecessors, so the per-arc
     pass also makes them available at the same pop.  The classes
-    finish in a topological order of the quotient, along which the
-    reach, redundant-head and above masks are made once per class and
-    shared by its members, whose masks are equal since they have the
-    same successors and predecessors.
+    finish in a topological order of the quotient, along which
+    _position_reach and _above_masks run over the quotient arcs, with
+    each class's members' positions as its ``at`` mask.  A class's masks
+    are stored at the class and shared by its members, whose masks are
+    equal since they have the same successors and predecessors.
     """
     n = len(cls_of)
     indeg = [0] * n  # per class, its predecessor classes not yet finished
@@ -638,26 +642,10 @@ def _along_twins(
     at = [0] * n  # per class, its members' positions
     for i, c in enumerate(cls_of):
         at[c] |= 1 << pos_of[i]
-    reach = [0] * n
-    red = [0] * n
-    for c in reversed(done):
-        acc = heads = 0
-        for d in qsucc[c]:
-            acc |= reach[d]
-            heads |= at[d]
-        red[c] = acc & heads
-        reach[c] = acc | heads
-    above = [0] * n
-    for c in done:
-        mask = above[c] | at[c]
-        for d in qsucc[c]:
-            above[d] |= mask
+    slot = range(n)
+    masks = (*_position_reach(qsucc, done, slot, at), _above_masks(qsucc, done, slot, at))
     cls_at = list(map(cls_of.__getitem__, first))
-    return (
-        first,
-        pos_of,
-        *(list(map(masks.__getitem__, cls_at)) for masks in (reach, red, above)),
-    )
+    return first, pos_of, *(list(map(m.__getitem__, cls_at)) for m in masks)
 
 
 def _along(g: Digraph) -> Analysis:
@@ -667,8 +655,9 @@ def _along(g: Digraph) -> Analysis:
     for cyclic g).  When the twin quotient drops at least 6n of the m
     arcs, it runs on the classes (_twin_classes, whose docstring gives
     the cut points, and _along_twins); otherwise it is one Kahn pass,
-    one reverse pass and one forward pass over the arcs.  Both give the
-    same lists.
+    then the same reverse and forward passes (_position_reach,
+    _above_masks) over the arcs, one position bit per vertex as ``at``.
+    Both give the same lists.
     """
     n, m = len(g), g._m
     if m >= 6 * n:
@@ -677,13 +666,15 @@ def _along(g: Digraph) -> Analysis:
             return _along_twins(*twins)
     first = _acyclic_order(g)
     pos_of = _inverse(first)
-    reach, red = _position_reach(g._succ, first, pos_of)
-    return first, pos_of, reach, red, _above_masks(g._succ, first, pos_of)
+    at = [1 << p for p in pos_of]
+    reach, red = _position_reach(g._succ, first, pos_of, at)
+    return first, pos_of, reach, red, _above_masks(g._succ, first, pos_of, at)
 
 
 def _reach_bits(g: Digraph) -> tuple[list[int], list[int]]:
     """Reach and redundant-head masks over vertex indices, as _position_reach's."""
-    return _position_reach(g._succ, _acyclic_order(g), range(len(g)))
+    slot = range(len(g))
+    return _position_reach(g._succ, _acyclic_order(g), slot, [1 << i for i in slot])
 
 
 def reachability(g: Digraph) -> Relation:
@@ -792,7 +783,7 @@ def is_admissible(c: Chain, g: Digraph) -> CheckResult:
     vertex set as c; c itself does not have to be a linear extension.
     """
     pos_of = _chain_positions(c, g)
-    reach, _ = _position_reach(g._succ, _acyclic_order(g), pos_of)
+    reach, _ = _position_reach(g._succ, _acyclic_order(g), pos_of, [1 << p for p in pos_of])
     hit = _admissibility_witness(reach)
     if hit is None:
         return CheckResult(True)

@@ -219,8 +219,9 @@ def conjugate_chain(x: Chain, g: Digraph) -> Chain:
     if not all(pos_of[t] < pos_of[h] for t, h in g._pairs()):
         raise NotLinearExtensionError("chain is not a linear extension of the digraph")
     order = _inverse(pos_of)
-    reach, _ = _position_reach(g._succ, order, pos_of)
-    score = _conjugate_scores(reach, _above_masks(g._succ, order, pos_of))
+    at = [1 << p for p in pos_of]
+    reach, _ = _position_reach(g._succ, order, pos_of, at)
+    score = _conjugate_scores(reach, _above_masks(g._succ, order, pos_of, at))
     if len(set(score)) != len(score):
         hit = _admissibility_witness(reach)
         if hit is None:

@@ -543,15 +543,29 @@ class TestOutOfMemory:
     CAP = 256 << 20
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, seconds",
         [
-            ["realize", "--seq", "fib", "--max-level", "24"],
-            ["realize", "--seq", "list:100000,100000", "--max-level", "1"],
-            ["check", "--seq", "const:60000", "--max-level", "2"],
+            (["realize", "--seq", "fib", "--max-level", "24"], 120),
+            (["realize", "--seq", "list:100000,100000", "--max-level", "1"], 120),
+            (["check", "--seq", "const:60000", "--max-level", "2"], 120),
+            # more than sys.maxsize vertices, which no index reaches: refused
+            # at the first level past that, before any vertex is made
+            (["gen", "fib", "--max-level", "100"], 10),
+            (["gen", "fib", "--max-level", "20000"], 10),
+            (["gen", "fib", "--max-level", "100000"], 10),
+            (["check", "--seq", "list:1,10000000000000000000", "--max-level", "1"], 10),
         ],
-        ids=["fib_24", "two_levels", "const_three_levels"],
+        ids=[
+            "fib_24",
+            "two_levels",
+            "const_three_levels",
+            "fib_100",
+            "fib_20000",
+            "fib_100000",
+            "level_past_index_limit",
+        ],
     )
-    def test_exits_2_with_one_stderr_line(self, argv):
+    def test_exits_2_with_one_stderr_line(self, argv, seconds):
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (self.CAP, self.CAP))
 
@@ -560,7 +574,7 @@ class TestOutOfMemory:
             capture_output=True,
             text=True,
             preexec_fn=cap,
-            timeout=120,
+            timeout=seconds,
         )
         assert (proc.returncode, proc.stdout) == (EXIT_BAD_INPUT, ""), proc.stderr
         assert proc.stderr == "error: out of memory\n"

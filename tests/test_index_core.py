@@ -496,8 +496,9 @@ def orientation_inputs(g: Digraph, rng: random.Random):
     yield reach, above
     pos_of = _chain_positions(random_extension(g, rng), g)
     order = _inverse(pos_of)
-    reach, _ = _position_reach(g._succ, order, pos_of)
-    yield reach, _above_masks(g._succ, order, pos_of)
+    at = [1 << p for p in pos_of]
+    reach, _ = _position_reach(g._succ, order, pos_of, at)
+    yield reach, _above_masks(g._succ, order, pos_of, at)
 
 
 def same_orientation(g: Digraph, rng: random.Random) -> list:
@@ -571,8 +572,9 @@ def per_arc_along(g: Digraph) -> tuple:
     """_along's lists from the per-arc passes, whatever the quotient."""
     first = _acyclic_order(g)
     pos_of = _inverse(first)
-    reach, red = _position_reach(g._succ, first, pos_of)
-    return first, pos_of, reach, red, _above_masks(g._succ, first, pos_of)
+    at = [1 << p for p in pos_of]
+    reach, red = _position_reach(g._succ, first, pos_of, at)
+    return first, pos_of, reach, red, _above_masks(g._succ, first, pos_of, at)
 
 
 @st.composite
@@ -668,14 +670,28 @@ class TestTwinClasses:
         def refuse(*args):
             raise AssertionError("per-arc pass reached")
 
+        passes = []  # the number of nodes of each kernel pass
+
+        def on_classes(kernel):
+            def run(succ, *args):
+                if len(succ) == len(g):  # one node per vertex, as in g._succ
+                    refuse()
+                passes.append(len(succ))
+                return kernel(succ, *args)
+
+            return run
+
         with monkeypatch.context() as patched:
             for module in (graphs, realizers):
-                for name in ("_position_reach", "_above_masks", "_kahn_order"):
+                if hasattr(module, "_kahn_order"):
+                    patched.setattr(module, "_kahn_order", refuse)
+                for name in ("_position_reach", "_above_masks"):
                     if hasattr(module, name):
-                        patched.setattr(module, name, refuse)
+                        patched.setattr(module, name, on_classes(getattr(module, name)))
             verdict = decide_orderable(g)
             regular, admissible = _check_graph(g)
             dimension = _dimension_up_to_2(g)
+        assert passes and max(passes) == max_level + 1  # one node per level
         assert isinstance(verdict, Orderable)
         assert verify_realizer(verdict.realizer)
         assert (regular.ok, admissible.ok, dimension) == (True, True, 2)
