@@ -57,8 +57,16 @@ class NotLinearExtensionError(ValueError):
 
 @dataclass(frozen=True, order=True)
 class Vertex:
-    """Element at 1-based ``position`` within layer ``level``."""
+    """Element at 1-based ``position`` within layer ``level``.
 
+    Slotted: no instance dict (``dataclasses.asdict``, not ``vars``) and
+    no weak references.  The state is the field dict, set through
+    ``__init__``, so a vertex pickled with an instance dict loads too.
+    """
+
+    # written out: Python 3.10's slots=True would replace __getstate__ and
+    # __setstate__ with its own, which read the state as a field list
+    __slots__ = ("position", "level")
     position: int
     level: int
 
@@ -73,17 +81,19 @@ class Vertex:
     def __str__(self) -> str:
         return f"{self.position},{self.level}"
 
+    def __getstate__(self) -> dict[str, int]:
+        return {"position": self.position, "level": self.level}
 
-# made through __init__, so that the class's shared attribute keys hold both
-# fields; else each vertex that _vertices makes first gets a dict of its own
-Vertex(1, 0)
+    def __setstate__(self, state: dict[str, int]) -> None:
+        self.__init__(**state)
 
 
 def _vertices(keys: Collection[Sequence[int]]) -> list[Vertex]:
     """``Vertex(position, level)`` for each key, made in C steps.
 
-    Skips ``__post_init__``: the caller guarantees int coordinates with
-    position >= 1 and level >= 0.
+    Each vertex is made without ``__init__``, and its two slots are set
+    past the frozen ``__setattr__``.  Skips ``__post_init__``: the caller
+    guarantees int coordinates with position >= 1 and level >= 0.
     """
     vs = list(map(object.__new__, repeat(Vertex, len(keys))))
     deque(map(object.__setattr__, vs, repeat("position"), map(itemgetter(0), keys)), 0)
@@ -129,18 +139,17 @@ class Digraph:
     the vertex pairs on each read.  The constructor and the readers keep
     a tails array and drop repeated arcs; the cobweb builder,
     ``FinitePoset.strict_digraph`` and ``transitive_reduction`` of a
-    canonical digraph keep none, and make no repeats.  The
-    constructor builds the ``_index`` of vertex to index, which it needs
-    to resolve arcs; a digraph from ``_from_succ`` builds it on first
-    lookup, and a copy or an unpickled digraph holds it only if the
-    original did.
+    canonical digraph keep none, and make no repeats.  Every digraph
+    builds its ``_index`` of vertex to index on first lookup; the
+    constructor resolves its arcs through a dict that it then drops.  A
+    copy or an unpickled digraph holds the index only if the original did.
     """
 
     __slots__ = ("vertices", "_index", "_succ", "_tails", "_m")
 
     def __init__(self, vertices: Iterable[Vertex], arcs: Iterable[Arc] = ()) -> None:
         vs = tuple(vertices)
-        self._index = index = _vertex_index(vs)
+        index = _vertex_index(vs)
         succ: list[list[int]] = [[] for _ in vs]
         tails = array("I")
         for tail, head in arcs:

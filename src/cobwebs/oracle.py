@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
+from itertools import compress, product
 from typing import Iterator
 
 from .graphs import (
@@ -141,7 +141,7 @@ class FinitePoset:
     def _extensions(self) -> tuple[list[int], int, int, tuple[int, int] | None]:
         """``_extension_pair_masks`` and the realizing pair, enumerated once."""
         masks, target, incomp = _extension_pair_masks(self)
-        return masks, target, incomp, _realizing_pair(masks, target, incomp)
+        return masks, target, incomp, _realizing_pair(masks, incomp)
 
 
 def enumerate_linear_extensions(
@@ -200,21 +200,20 @@ def _extension_pair_masks(p: FinitePoset) -> tuple[list[int], int, int]:
     return masks, target, incomp
 
 
-def _realizing_pair(
-    masks: list[int], target: int, incomp: int
-) -> tuple[int, int] | None:
-    """The first mask, in order, with a partner intersecting it in target.
+def _realizing_pair(masks: list[int], incomp: int) -> tuple[int, int] | None:
+    """The first mask, in order, with a partner intersecting it in the order.
 
-    The only possible partner of m is ``target | (incomp & ~m)``.
-    Partnership is symmetric, so the first hit is also the first pair
-    (i, j >= i) of a scan over all pairs.
+    An extension's mask m holds the order's mask ``target`` and misses
+    its transpose and the diagonal, so ``m == target | (m & incomp)``: its only possible
+    partner is ``m ^ incomp``, and ``m & (m ^ incomp) == target`` holds
+    for every m.  So the first m whose partner is an extension gives the
+    pair.  Partnership is symmetric, so the first hit is also the first
+    pair (i, j >= i) of a scan over all pairs.
     """
     present = set(masks)
-    for m in masks:
-        partner = target | (incomp & ~m)
-        if partner in present and m & partner == target:
-            return m, partner
-    return None
+    hits = compress(masks, map(present.__contains__, map(incomp.__xor__, masks)))
+    m = next(hits, None)
+    return None if m is None else (m, m ^ incomp)
 
 
 def _chain_of(mask: int, p: FinitePoset) -> Chain:

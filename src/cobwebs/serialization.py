@@ -11,7 +11,7 @@ import json
 from array import array
 from collections import deque
 from itertools import chain, islice
-from operator import attrgetter, eq, itemgetter
+from operator import attrgetter, itemgetter
 from typing import Any, Iterable, Iterator
 
 from .graphs import Digraph, Vertex, _inverse, _vertices
@@ -167,11 +167,12 @@ def _plain_json_graph(text: str) -> Digraph | None:
     canonical; each position is at least 1 and each vertex is listed
     once; each arc endpoint is the text of a vertex, so no arc slot is
     empty either; and no arc is a loop.  That is checked with C string
-    operations, one ``json.loads`` of the vertex list and one Python
-    step per ``_ARC_BLOCK`` bytes of arcs, and each endpoint is resolved
-    by one dict lookup of its text.  Any other document gives None;
-    ``graph_from_json`` decodes it and hands its lists back here,
-    written compactly, so this is the one builder of a graph from JSON.
+    operations, one ``json.loads`` of the vertex list, one Python step
+    per ``_ARC_BLOCK`` bytes of arcs and one loop test per tail, and
+    each endpoint is resolved by one dict lookup of its text.  Any other
+    document gives None; ``graph_from_json`` decodes it and hands its
+    lists back here, written compactly, so this is the one builder of a
+    graph from JSON.
     """
     try:
         raw = text.encode("ascii")
@@ -227,11 +228,11 @@ def _plain_json_graph(text: str) -> Digraph | None:
             heads = list(map(head_index.__getitem__, ends[1::2]))
         except KeyError:
             return None
-        if any(map(eq, block_tails, heads)):
-            return None
         deque(map(list.append, map(succ.__getitem__, block_tails), heads), 0)
         tails.extend(block_tails)
         start = end + 3
+    if any(map(list.__contains__, succ, range(n))):  # a loop
+        return None
     return Digraph._from_succ(_vertices(keys), succ, tails)
 
 

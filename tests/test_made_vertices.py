@@ -1,10 +1,11 @@
 """Vertices made in bulk by the readers and the builder, and the index on demand.
 
 The readers and the cobweb builder make their vertices without calling
-``Vertex``, and their digraphs build the vertex index on first lookup.
-Both must be invisible: each vertex behaves exactly like ``Vertex(p, l)``,
-and each digraph answers lookups like the one the public constructor
-builds from the same vertices and arcs.
+``Vertex``, and every digraph, the public constructor's included, builds
+the vertex index on first lookup.  Both must be invisible: each vertex
+behaves exactly like ``Vertex(p, l)``, and each digraph answers lookups
+like the one the public constructor builds from the same vertices and
+arcs.
 """
 
 import copy
@@ -13,6 +14,7 @@ import os
 import pickle
 import subprocess
 import sys
+import weakref
 from itertools import chain
 from operator import is_
 
@@ -73,6 +75,8 @@ MAKERS = {
     "strict_digraph": lambda: FinitePoset.from_digraph(SOURCE).strict_digraph(),
     "standard example": lambda: standard_example(3).strict_digraph(),
 }
+# the makers and the public constructor, which builds no index either
+BUILT = {**MAKERS, "constructor": lambda: Digraph(SOURCE.vertices, SOURCE.arcs)}
 
 
 def holds_index(g: Digraph) -> bool:
@@ -100,8 +104,10 @@ class TestMadeVertices:
         assert list(map(hash, made)) == list(map(hash, fresh))
         assert list(map(repr, made)) == list(map(repr, fresh))
         assert list(map(str, made)) == list(map(str, fresh))
-        assert [vars(u) for u in made] == [vars(u) for u in fresh]
-        assert [list(vars(u)) for u in made] == [["position", "level"]] * len(made)
+        assert list(map(dataclasses.asdict, made)) == list(map(dataclasses.asdict, fresh))
+        assert [list(dataclasses.asdict(u)) for u in made] == [["position", "level"]] * len(
+            made
+        )
         for a, b in zip(made, fresh):
             assert [a < c for c in fresh] == [b < c for c in fresh]
             assert [c < a for c in made] == [c < b for c in made]
@@ -117,7 +123,8 @@ class TestMadeVertices:
             assert dataclasses.replace(u, level=u.level + 1) == Vertex(u.position, u.level + 1)
             with pytest.raises(ValueError, match="position must be >= 1"):
                 dataclasses.replace(u, position=0)
-            assert copy.copy(u) == fresh and vars(copy.copy(u)) == vars(fresh)
+            assert copy.copy(u) == fresh
+            assert dataclasses.asdict(copy.copy(u)) == dataclasses.asdict(fresh)
             assert copy.deepcopy(u) == fresh
             assert pickle.dumps(u) == pickle.dumps(fresh)
             assert pickle.loads(pickle.dumps(u)) == fresh
@@ -125,6 +132,37 @@ class TestMadeVertices:
                 u.position = 2
             with pytest.raises(dataclasses.FrozenInstanceError):
                 del u.level
+
+    def test_no_instance_dict(self):
+        made = [u for maker in MAKERS.values() for u in maker().vertices]
+        for u in [*made, Vertex(3, 1)]:
+            assert not hasattr(u, "__dict__")
+            with pytest.raises(TypeError):
+                vars(u)
+            with pytest.raises(TypeError):
+                weakref.ref(u)
+        assert sys.getsizeof(Vertex(3, 1)) < 64
+
+    # Vertex(12, 3) pickled where each vertex held an instance dict
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"ccopy_reg\n_reconstructor\np0\n(ccobwebs.graphs\nVertex\np1\nc__builtin__"
+            b"\nobject\np2\nNtp3\nRp4\n(dp5\nVposition\np6\nI12\nsVlevel\np7\nI3\nsb.",
+            b"\x80\x05\x95<\x00\x00\x00\x00\x00\x00\x00\x8c\x0ecobwebs.graphs\x94"
+            b"\x8c\x06Vertex\x94\x93\x94)\x81\x94}\x94(\x8c\x08position\x94K\x0c"
+            b"\x8c\x05level\x94K\x03ub.",
+        ],
+        ids=["protocol 0", "highest protocol"],
+    )
+    def test_loads_a_vertex_pickled_with_an_instance_dict(self, data):
+        u = pickle.loads(data)
+        assert type(u) is Vertex and u == Vertex(12, 3)
+        assert dataclasses.asdict(u) == {"position": 12, "level": 3}
+        assert hash(u) == hash(Vertex(12, 3)) and repr(u) == repr(Vertex(12, 3))
+        # the state goes through __init__, which checks it
+        with pytest.raises(ValueError, match="position must be >= 1"):
+            pickle.loads(data.replace(b"I12\n", b"I0\n").replace(b"K\x0c", b"K\x00"))
 
     def test_builder_levels_are_the_digraph_vertices(self):
         p = fib_cobweb(7)
@@ -137,20 +175,22 @@ class TestMadeVertices:
 
 
 class TestIndexOnDemand:
-    def test_the_constructor_builds_it(self):
-        assert holds_index(SOURCE)
-        assert holds_index(Digraph([]))
+    def test_the_constructor_leaves_it_to_the_first_lookup(self):
+        g = Digraph(SOURCE.vertices, SOURCE.arcs)
+        assert not holds_index(g) and not holds_index(Digraph([]))
+        assert SOURCE.vertices[2] in g
+        assert holds_index(g) and g._index == dict(zip(g.vertices, range(len(g))))
 
-    @pytest.mark.parametrize("maker", MAKERS)
+    @pytest.mark.parametrize("maker", BUILT)
     def test_not_built_on_construction(self, maker):
-        g = MAKERS[maker]()
+        g = BUILT[maker]()
         assert not holds_index(g)
         g.index(g.vertices[0])
         assert holds_index(g)
 
-    @pytest.mark.parametrize("maker", MAKERS)
+    @pytest.mark.parametrize("maker", BUILT)
     def test_lookups_answer_like_the_constructor(self, maker):
-        g = MAKERS[maker]()
+        g = BUILT[maker]()
         expected = Digraph(g.vertices, g.arcs)
         outside = [v(99, 0), v(1, 99), (1, 0), "1,0"]
         assert [u in g for u in g.vertices + tuple(outside)] == [
@@ -209,8 +249,10 @@ class TestIndexOnDemand:
         assert not holds_index(g)
 
     def test_copies_of_a_constructor_digraph_keep_its_index(self):
-        for twin in copies(SOURCE):
-            assert holds_index(twin) and twin._index == SOURCE._index
+        g = Digraph(SOURCE.vertices, SOURCE.arcs)
+        g.index(g.vertices[0])
+        for twin in copies(g):
+            assert holds_index(twin) and twin._index == g._index
             assert twin == SOURCE and hash(twin) == hash(SOURCE)
             assert twin.arcs == SOURCE.arcs
 
