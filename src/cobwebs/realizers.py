@@ -18,7 +18,7 @@ time, so every verdict is conclusive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .cobweb import CobwebPoset
 from .graphs import (
@@ -31,12 +31,13 @@ from .graphs import (
     Vertex,
     VertexSetMismatchError,
     _above_masks,
+    _acyclic_order,
     _admissibility_witness,
     _along,
     _chain_positions,
     _inverse,
+    _iter_bits,
     _position_reach,
-    _reach_bits,
     _regularity,
 )
 
@@ -84,16 +85,16 @@ def descending_chain(p: CobwebPoset) -> Chain:
 def intersect_chains(a: Chain, b: Chain) -> Relation:
     """Pairs (u, v) that both chains order the same way, u no later than v.
 
-    The result is a Relation over a's order, from _mismatch_masks against
-    the empty relation.  It is reflexive and is a partial order whenever
-    both chains cover the same vertex set, which is required
-    (VertexSetMismatchError otherwise).
+    The result is a Relation over a's order, from one walk back along b
+    in a's positions (_mismatches against the empty relation).  It is
+    reflexive and is a partial order whenever both chains cover the
+    same vertex set, which is required (VertexSetMismatchError otherwise).
     """
     if a.vertex_set != b.vertex_set:
         raise VertexSetMismatchError("chains cover different vertex sets")
     rank, n = a._rank, len(a)
-    both = _mismatch_masks([0] * n, range(n), [rank[v] for v in b.order])
-    return Relation._from_masks(a.order, (m | 1 << p for p, m in enumerate(both)), rank)
+    both = dict(_mismatches([0] * n, [rank[v] for v in b.order]))
+    return Relation._from_masks(a.order, (both.get(p, 0) | 1 << p for p in range(n)), rank)
 
 
 @dataclass(frozen=True)
@@ -133,52 +134,47 @@ class NoAdmissibleChain:
 OrderabilityVerdict = Orderable | NotRegular | NoAdmissibleChain
 
 
-def _mismatch_masks(
-    reach: list[int], first: Sequence[int], second: Sequence[int]
-) -> list[int]:
-    """Per element p, the elements q for which the pair (p, q) breaks a realizer.
+def _mismatches(
+    reach: list[int], second: Sequence[int], later: list[int] | None = None
+) -> Iterator[tuple[int, int]]:
+    """Back along the second chain, each element p in a pair (p, q) that breaks a realizer.
 
-    ``reach`` holds reach masks over some numbering of the elements, and
-    ``first`` and ``second`` list the same numbers in the order of the
-    two chains.  Both chains put p before q exactly when q is reachable
-    from p; bit q of entry p is set where that fails.  One walk back
-    along each chain collects, for each p, the elements after p in it.
+    ``reach`` holds reach masks over a numbering of the elements, which
+    ``second`` lists in its order.  Both chains must put p before q exactly
+    when q is reachable from p; p comes with the mask of the q where that
+    fails.  ``later[p]`` holds the q after p in the first chain: by default
+    those above p, the numbering being the first chain.  One mask is kept.
     """
-    diff = [0] * len(reach)
-    after = 0
-    for p in reversed(first):
-        diff[p] = after  # for now, the elements after p in the first chain
-        after |= 1 << p
     after = 0
     for p in reversed(second):
-        diff[p] = (after & diff[p]) ^ reach[p]
+        both = after >> (p + 1) << (p + 1) if later is None else after & later[p]
+        if both != reach[p]:
+            yield p, both ^ reach[p]
         after |= 1 << p
-    return diff
 
 
 def verify_realizer(r: Realizer) -> CheckResult:
     """Check the realizer's defining equation directly.
 
-    The intersection of the two chains must equal the reflexive closure
-    of the target's reachability.  On mismatch the witness is the
-    first differing pair (by target vertex order).  Chains that fail to
-    cover the target's vertex set raise VertexSetMismatchError.
+    The two chains must intersect in the reflexive closure of the target's
+    reachability, taken in the first chain's positions.  On mismatch the
+    witness is the first differing pair (by target vertex order).  Chains not
+    covering the target raise VertexSetMismatchError, a cyclic target CyclicInputError.
     """
     g = r.target
     # a chain's vertices are distinct, so it covers g when all n are in g
     first, second = ([g._index.get(v) for v in c.order] for c in (r.first, r.second))
     if len(first) != len(g) or None in first:
-        raise VertexSetMismatchError(
-            "realizer chains do not cover the target's vertex set"
-        )
+        raise VertexSetMismatchError("realizer chains do not cover the target's vertex set")
     if len(second) != len(g) or None in second:
         raise VertexSetMismatchError("chains cover different vertex sets")
-    diff = _mismatch_masks(_reach_bits(g)[0], first, second)
-    for i, mask in enumerate(diff):
-        if mask:
-            j = (mask & -mask).bit_length() - 1
-            return CheckResult(False, (g.vertices[i], g.vertices[j]))
-    return CheckResult(True)
+    pos_of = _inverse(first)
+    reach, _ = _position_reach(g._succ, _acyclic_order(g), pos_of, [1 << p for p in pos_of])
+    walk = _mismatches(reach, [pos_of[i] for i in second])
+    i, m = min(((first[p], m) for p, m in walk), default=(None, 0))
+    if not m:
+        return CheckResult(True)
+    return CheckResult(False, (g.vertices[i], g.vertices[min(first[q] for q in _iter_bits(m))]))
 
 
 def _conjugate_scores(reach: list[int], above: list[int]) -> list[int]:
@@ -232,7 +228,7 @@ def conjugate_chain(x: Chain, g: Digraph) -> Chain:
 
 
 def _orient_incomparability(reach: list[int], above: list[int]) -> list[int] | None:
-    """Out-degrees of a transitive orientation T of the incomparability graph, or None.
+    """Masks of P ∪ T for a transitive orientation T of the incomparability graph, or None.
 
     ``reach`` and ``above`` are the masks of a linear extension of the
     poset P, in its positions.  T is built by Golumbic's
@@ -242,7 +238,7 @@ def _orient_incomparability(reach: list[int], above: list[int]) -> list[int] | N
     neighbour c of a that is not adjacent to b, and c -> b for every
     neighbour c of b not adjacent to a.  A class that forces some pair
     both ways proves that no T exists, and the result is None.
-    Otherwise the classes together are a transitive orientation.
+    Otherwise the classes give T, and ``later[p]`` holds the positions after p in P ∪ T.
     Forcing commutes with reversal, so the class of q -> p is the
     reverse of the class A of p -> q: A = A⁻¹ or A ∩ A⁻¹ = ∅ (Golumbic
     1980, ch. 5), and A holds a pair both ways exactly when it holds
@@ -253,7 +249,7 @@ def _orient_incomparability(reach: list[int], above: list[int]) -> list[int] | N
     full = (1 << n) - 1
     # the incomparability graph still to be oriented, one mask per position
     adj = [full & ~(reach[p] | above[p] | 1 << p) for p in range(n)]
-    out = [0] * n  # out-degrees in T so far
+    later = reach[:]  # the masks of P ∪ T, T as oriented so far
     heads = [0] * n  # the class being closed: a -> heads[a], cleared after it
     tails = [0] * n  # and its transpose: tails[b] -> b
     p = 0
@@ -261,7 +257,7 @@ def _orient_incomparability(reach: list[int], above: list[int]) -> list[int] | N
         while p < n and not adj[p]:
             p += 1
         if p == n:
-            return out
+            return later
         q = (adj[p] & -adj[p]).bit_length() - 1
         heads[p] = 1 << q
         tails[q] = 1 << p
@@ -288,7 +284,7 @@ def _orient_incomparability(reach: list[int], above: list[int]) -> list[int] | N
         for a, b in pairs:  # delete the class; the masks clear at its endpoints
             if heads[a]:
                 adj[a] &= ~heads[a]
-                out[a] += heads[a].bit_count()
+                later[a] |= heads[a]
                 heads[a] = 0
             if tails[b]:
                 adj[b] &= ~tails[b]
@@ -302,33 +298,36 @@ def _realizer_positions(
 
     ``reach`` and ``above`` are _along's masks in Kahn's positions.  The
     chains are P ∪ T and P ∪ T⁻¹ for a transitive orientation T of the
-    incomparability graph; with ``out`` T's out-degrees, they list the
-    positions by falling |reach| + out and n - 1 - |above| - out.
-    Kahn's order is tried first, and is P ∪ T exactly when the second
-    key, its conjugate's score, takes n values; its ``out`` (the
-    incomparable positions after p) makes the first key n - 1 - p, so
-    the chains are Kahn's order and the positions by falling score.
+    incomparability graph; with ``later`` the masks of P ∪ T, they list
+    the positions by falling |later| and score + n - 1 - p - |later|,
+    where score = |reach| + p - |above| is the conjugate score of Kahn's
+    order.  That is tried first, and is P ∪ T exactly when the scores
+    take n values; its ``later`` (the positions above p) makes the first
+    key n - 1 - p, so the chains are Kahn's order and the positions by
+    falling score.
     Every cobweb takes that exit, which saves _orient_incomparability:
     the levels of a cobweb are cliques of the incomparability graph, in
     which every pair would be an implication class of its own.  The pair
-    is verified against ``reach``, which does not depend on T, and
-    AssertionError is raised if it fails.
+    is verified against ``reach``, which does not depend on T, through
+    the positions after p in the first chain, above p in Kahn's order or
+    else ``later[p]`` (checked first); AssertionError if it fails.
     """
     n = len(reach)
     score = _conjugate_scores(reach, above)
     if len(set(score)) == n:
-        chains = list(range(n)), _ranked(score)
+        first, second, later = list(range(n)), _ranked(score), None
     else:
-        out = _orient_incomparability(reach, above)
-        if out is None:
+        later = _orient_incomparability(reach, above)
+        if later is None:
             return None
-        chains = (
-            _ranked([reach[p].bit_count() + out[p] for p in range(n)]),
-            _ranked([n - 1 - above[p].bit_count() - out[p] for p in range(n)]),
-        )
-    if any(_mismatch_masks(reach, *chains)):
+        key = [m.bit_count() for m in later]
+        first = _ranked(key)
+        second = _ranked([s + n - 1 - p - k for p, (s, k) in enumerate(zip(score, key))])
+    # -1 keeps the whole accumulator: the first chain's own masks must be ``later``
+    failed = later and any(_mismatches(later, first, [-1] * n))
+    if failed or any(_mismatches(reach, second, later)):
         raise AssertionError("constructed realizer failed verification")
-    return chains
+    return first, second
 
 
 def _check_graph(g: Digraph) -> tuple[CheckResult, CheckResult]:

@@ -169,8 +169,8 @@ def reference_orientation(reach: list[int], above: list[int]) -> list[int] | Non
     same order (smallest remaining pair first), each closed by forcing,
     with a -> b forcing a -> c for every neighbour c of a not adjacent
     to b and c -> b for every neighbour c of b not adjacent to a.
-    Returns the out-degrees of the orientation, or None when a class
-    holds its first pair reversed.
+    Returns the masks of P ∪ T (bit q of ``out[p]`` when q is reachable
+    from p or p -> q), or None when a class holds its first pair reversed.
     """
 
     def bits(mask):
@@ -179,7 +179,7 @@ def reference_orientation(reach: list[int], above: list[int]) -> list[int] | Non
     n = len(reach)
     full = (1 << n) - 1
     adj = [full & ~(reach[p] | above[p] | 1 << p) for p in range(n)]
-    out = [0] * n
+    out = list(reach)
     p = 0
     while True:
         while p < n and not adj[p]:
@@ -204,7 +204,7 @@ def reference_orientation(reach: list[int], above: list[int]) -> list[int] | Non
                 todo.append((c, b))
         for a, mask in heads.items():
             adj[a] &= ~mask
-            out[a] += bin(mask).count("1")
+            out[a] |= mask
         for b, mask in tails.items():
             adj[b] &= ~mask
 

@@ -537,17 +537,30 @@ class TestOutOfMemory:
     """An input too large for the memory the process may use: exit 2, one line.
 
     Each child runs alone, its address space capped so that it fails
-    within seconds, whatever memory the machine has.
+    within seconds, whatever memory the machine has.  ``fib`` 24 fits
+    under the same cap.
     """
 
     CAP = 256 << 20
 
+    def capped(self, argv, seconds):
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (self.CAP, self.CAP))
+
+        return subprocess.run(
+            [sys.executable, "-m", "cobwebs", *argv],
+            capture_output=True,
+            text=True,
+            preexec_fn=cap,
+            timeout=seconds,
+        )
+
     @pytest.mark.parametrize(
         "argv, seconds",
         [
-            (["realize", "--seq", "fib", "--max-level", "24"], 120),
-            (["realize", "--seq", "list:100000,100000", "--max-level", "1"], 120),
-            (["check", "--seq", "const:60000", "--max-level", "2"], 120),
+            (["realize", "--seq", "fib", "--max-level", "30"], 120),
+            (["realize", "--seq", "list:3000000,3000000", "--max-level", "1"], 120),
+            (["check", "--seq", "const:2000000", "--max-level", "2"], 120),
             # more than sys.maxsize vertices, which no index reaches: refused
             # at the first level past that, before any vertex is made
             (["gen", "fib", "--max-level", "100"], 10),
@@ -556,7 +569,7 @@ class TestOutOfMemory:
             (["check", "--seq", "list:1,10000000000000000000", "--max-level", "1"], 10),
         ],
         ids=[
-            "fib_24",
+            "fib_30",
             "two_levels",
             "const_three_levels",
             "fib_100",
@@ -566,18 +579,17 @@ class TestOutOfMemory:
         ],
     )
     def test_exits_2_with_one_stderr_line(self, argv, seconds):
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (self.CAP, self.CAP))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "cobwebs", *argv],
-            capture_output=True,
-            text=True,
-            preexec_fn=cap,
-            timeout=seconds,
-        )
+        proc = self.capped(argv, seconds)
         assert (proc.returncode, proc.stdout) == (EXIT_BAD_INPUT, ""), proc.stderr
         assert proc.stderr == "error: out of memory\n"
+
+    def test_fib_24_fits(self):
+        # 121,393 vertices: the realizer is checked by walks that keep no
+        # mask per position, so this peaks at about 70 MiB
+        argv = ["realize", "--seq", "fib", "--max-level", "24", "--output", os.devnull]
+        proc = self.capped(argv, 120)
+        assert (proc.returncode, proc.stdout) == (0, ""), proc.stderr
+        assert proc.stderr == "verification: PASS\n"
 
 
 def _broken(*args):

@@ -34,7 +34,7 @@ from cobwebs import (
     transitive_reduction,
     verify_realizer,
 )
-from cobwebs import realizers
+from cobwebs import graphs, realizers
 from cobwebs.cli import main
 from cobwebs.realizers import _check_graph
 from cobwebs.serialization import (
@@ -243,13 +243,42 @@ class TestRealizer:
 
     def test_a_wrong_orientation_fails_verification(self, monkeypatch):
         # Kahn's order 1, 2, 3 is inadmissible here, so the orientation runs;
-        # with every out-degree 0 both chains come out as 1, 2, 3
+        # with no position after any other both chains come out as 1, 2, 3
         monkeypatch.setattr(
             realizers, "_orient_incomparability", lambda reach, above: [0] * 3
         )
         vs = row(3)
         with pytest.raises(AssertionError, match="failed verification"):
             decide_orderable(Digraph(vs, [(vs[0], vs[2])]))
+
+    def test_masks_unlike_the_first_chain_fail_verification(self, monkeypatch):
+        # masks with 3 after 1 and 1 after 2 are no chain's, yet they rank
+        # both chains as 1, 2, 3, which the second chain's walk alone passes
+        monkeypatch.setattr(
+            realizers, "_orient_incomparability", lambda reach, above: [0b100, 0b001, 0]
+        )
+        vs = row(3)
+        with pytest.raises(AssertionError, match="failed verification"):
+            decide_orderable(Digraph(vs, [(vs[0], vs[2])]))
+
+    @pytest.mark.parametrize("twins", [True, False], ids=["built_cobweb", "per_arc"])
+    def test_wrong_conjugate_scores_fail_verification(self, monkeypatch, twins):
+        # n distinct scores take the Kahn exit, but rising ones rank the
+        # positions backwards: the second chain comes out as Kahn's order
+        # reversed, and only comparable pairs keep their order in a realizer
+        monkeypatch.setattr(
+            realizers, "_conjugate_scores", lambda reach, above: list(range(len(reach)))
+        )
+        classes = []
+        along_twins = graphs._along_twins
+        monkeypatch.setattr(
+            graphs, "_along_twins", lambda *args: classes.append(args) or along_twins(*args)
+        )
+        vs = row(3)
+        g = fib_cobweb(8).hasse if twins else Digraph(vs, [(vs[0], vs[2])])
+        with pytest.raises(AssertionError, match="failed verification"):
+            decide_orderable(g)
+        assert bool(classes) == twins
 
 
 class TestCheckAdmissibleLine:

@@ -352,6 +352,12 @@ class TestVerifyMatchesPairSets:
         second[i], second[i + 1] = second[i + 1], second[i]
         bad = Realizer(r.first, Chain(second), g)
         assert verify_realizer(bad) == reference_verify(bad)
+        # the reach masks are taken in the first chain's positions
+        first = list(r.first)
+        i = rng.randrange(len(first) - 1)
+        first[i], first[i + 1] = first[i + 1], first[i]
+        bad = Realizer(Chain(first), r.second, g)
+        assert verify_realizer(bad) == reference_verify(bad)
 
     @settings(max_examples=150, deadline=None)
     @given(shuffled_dags())

@@ -154,6 +154,13 @@ class TestVerifyRealizer:
         with pytest.raises(VertexSetMismatchError):
             verify_realizer(Realizer(c, c, g))
 
+    def test_cyclic_target_raises(self):
+        # chains that cover the target pass the vertex-set check first
+        cyclic = Digraph(row(2), [(v(1), v(2)), (v(2), v(1))])
+        c = Chain(row(2))
+        with pytest.raises(CyclicInputError):
+            verify_realizer(Realizer(c, c, cyclic))
+
     def test_agrees_with_direct_intersection_on_all_pairs(self):
         # N-shaped order: 1 < 3, 2 < 3, 2 < 4
         g = graph_on(4, [(0, 2), (1, 2), (1, 3)])
