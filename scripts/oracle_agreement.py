@@ -45,27 +45,48 @@ def random_regular_dag(rng: random.Random, n: int, prob: float) -> Digraph:
     return transitive_reduction(Digraph(vs, arcs))
 
 
+def comma_list(kind, low, high, what):
+    """An argparse type: comma-separated values of kind, each in [low, high]."""
+
+    def parse(text: str) -> list:
+        try:
+            values = [kind(s) for s in text.split(",")]
+        except ValueError:
+            message = f"not a comma-separated list of {what}: {text!r}"
+            raise argparse.ArgumentTypeError(message) from None
+        for v in values:
+            if not low <= v <= high:
+                message = f"{what} must lie in [{low}, {high}]: {v}"
+                raise argparse.ArgumentTypeError(message)
+        return values
+
+    return parse
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=500)
     parser.add_argument(
-        "--sizes", default="6,7", help="comma-separated vertex counts to sample from"
+        "--sizes",
+        type=comma_list(int, 0, 9, "vertex counts"),
+        default="6,7",
+        help="comma-separated vertex counts to sample from, at most 9",
     )
     parser.add_argument(
-        "--probs", default="0.15,0.3,0.5", help="arc probabilities to sample from"
+        "--probs",
+        type=comma_list(float, 0, 1, "probabilities"),
+        default="0.15,0.3,0.5",
+        help="arc probabilities to sample from",
     )
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-
-    sizes = [int(s) for s in args.sizes.split(",")]
-    probs = [float(s) for s in args.probs.split(",")]
-    if max(sizes) > 9:
-        parser.error("the oracle refuses more than 9 vertices")
+    if args.count < 0:
+        parser.error(f"argument --count: must not be negative: {args.count}")
 
     rng = random.Random(args.seed)
     orderable = disagreements = 0
     for k in range(args.count):
-        g = random_regular_dag(rng, rng.choice(sizes), rng.choice(probs))
+        g = random_regular_dag(rng, rng.choice(args.sizes), rng.choice(args.probs))
         verdict = decide_orderable(g)
         poset = FinitePoset.from_digraph(g)
         truth = brute_force_dim_le_2(poset)

@@ -35,6 +35,33 @@ def test_runs_without_pythonpath(script, args, expected, tmp_path):
     assert expected in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        pytest.param(["--sizes", "8,x"], id="size-x"),
+        pytest.param(["--sizes", ""], id="sizes-empty"),
+        pytest.param(["--sizes", "10"], id="size-10"),
+        pytest.param(["--probs", "0.3,abc"], id="prob-abc"),
+        pytest.param(["--probs", "1.5"], id="prob-1.5"),
+        pytest.param(["--probs", "-0.1"], id="prob-neg"),
+        pytest.param(["--count", "-1"], id="count-neg"),
+    ],
+)
+def test_oracle_agreement_rejects_bad_arguments(args):
+    """A usage error on exit 2, with no traceback and no graph run."""
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "oracle_agreement.py"), *args],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: oracle_agreement.py")
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("oracle_agreement.py: error: argument")
+
+
 def test_identity_coverage(tmp_path):
     """The equivalence harness keeps its corpus, command lines and fields."""
     spec = importlib.util.spec_from_file_location("identity", SCRIPTS / "identity.py")
