@@ -3,13 +3,13 @@
 Everything downstream (cobweb construction, the orderability decider,
 the brute force oracle) works over the small vocabulary defined here:
 vertices labelled by position and level, digraphs with deterministic
-iteration order, chains, and reachability relations.  All reachability-style
-computations run on vertex indices and integer bitmasks: a Digraph
-stores its arcs only as successor lists, plus an array of tails when
-their order is not the canonical one, and reachability is kept as one
-mask per vertex, over vertex indices or positions along a chain, made
-by one reverse and one forward pass for vertices and twin classes alike.
-Vertex objects appear only where a result is handed back to the caller.
+iteration order, chains, and reachability relations.  A Digraph stores
+its arcs only as successor lists, plus an array of tails when their
+order is not the canonical one.  Every order query reads one analysis,
+_along: a bitmask per vertex in the caller's numbering (vertex indices,
+Kahn's order or a chain), from one reverse and one forward pass over
+vertices or twin classes; only the oracle's input has its own per-arc
+pass.  Vertex objects appear only where a result is handed back.
 """
 
 from __future__ import annotations
@@ -247,7 +247,8 @@ class Digraph:
             return NotImplemented
         # equal vertex tuples give equal index maps, so each tail's heads compare
         return self.vertices == other.vertices and all(
-            len(a) == len(b) and set(a) == set(b) for a, b in zip(self._succ, other._succ)
+            a is b or len(a) == len(b) and set(a) == set(b)
+            for a, b in zip(self._succ, other._succ)
         )
 
     def __hash__(self) -> int:
@@ -487,8 +488,9 @@ def topological_order(g: Digraph) -> tuple[Vertex, ...]:
 
 
 Analysis = tuple[list[int], list[int], list[int], list[int], list[int]]
-Twins = tuple[list[int], dict[int, list[int]], dict[int, list[int]]]
-Successors = Sequence[list[int]] | dict[int, list[int]]  # per vertex or per twin class
+Classes = dict[int, list[int]]  # per twin class, named by its least vertex
+Twins = tuple[list[int], Classes, Classes]
+Successors = Sequence[list[int]] | Classes  # per vertex or per twin class
 
 
 def _position_reach(
@@ -608,7 +610,7 @@ def _twin_classes(succ: list[list[int]]) -> Twins:
 
 
 def _along_twins(
-    cls_of: list[int], members: dict[int, list[int]], qsucc: dict[int, list[int]]
+    cls_of: list[int], members: Classes, qsucc: Classes, pos_of: Sequence[int] | None = None
 ) -> Analysis:
     """_along's lists from the twin classes: Python steps per vertex and class arc only.
 
@@ -617,9 +619,9 @@ def _along_twins(
     pass also makes them available at the same pop.  The classes
     finish in a topological order of the quotient, along which
     _position_reach and _above_masks run over the quotient arcs, with
-    each class's members' positions as its ``at`` mask.  A class's masks
-    are stored at the class and shared by its members, whose masks are
-    equal since they have the same successors and predecessors.
+    its members' positions (_along's ``pos_of``) as a class's ``at``.  A
+    class's masks are stored at the class and shared by its members,
+    whose masks are equal since they have the same successors and predecessors.
     """
     n = len(cls_of)
     indeg = [0] * n  # per class, its predecessor classes not yet finished
@@ -647,52 +649,53 @@ def _along_twins(
                         heapq.heappush(avail, j)
     if len(first) != n:
         raise CyclicInputError("digraph contains a directed cycle")
-    pos_of = _inverse(first)
+    by_pos = first if pos_of is None else _inverse(pos_of)  # the vertex at each position
+    pos_of = _inverse(by_pos) if pos_of is None else pos_of
     at = [0] * n  # per class, its members' positions
     for i, c in enumerate(cls_of):
         at[c] |= 1 << pos_of[i]
     slot = range(n)
     masks = (*_position_reach(qsucc, done, slot, at), _above_masks(qsucc, done, slot, at))
-    cls_at = list(map(cls_of.__getitem__, first))
+    cls_at = list(map(cls_of.__getitem__, by_pos))
     return first, pos_of, *(list(map(m.__getitem__, cls_at)) for m in masks)
 
 
-def _along(g: Digraph) -> Analysis:
-    """Kahn's order of g, its inverse, and the reach, redundant-head and above masks along it.
+def _along(g: Digraph, pos_of: Sequence[int] | None = None) -> Analysis:
+    """Kahn's order of g, ``pos_of``, and the reach, redundant-head and above masks in it.
 
-    The one analysis behind every decider entry point (CyclicInputError
-    for cyclic g).  When the twin quotient drops at least 6n of the m
-    arcs, it runs on the classes (_twin_classes, whose docstring gives
-    the cut points, and _along_twins); otherwise it is one Kahn pass,
-    then the same reverse and forward passes (_position_reach,
-    _above_masks) over the arcs, one position bit per vertex as ``at``.
-    Both give the same lists.
+    The one analysis behind every order query (CyclicInputError for
+    cyclic g); vertex i's masks sit at ``pos_of[i]``, Kahn's position by
+    default.  When the twin quotient drops at least 6n of the m arcs, it
+    runs on the classes (_twin_classes, whose docstring gives the cut
+    points, and _along_twins); otherwise it is one Kahn pass, then the
+    same reverse and forward passes (_position_reach, _above_masks) over
+    the arcs, one position bit per vertex as ``at``.  Both give the same lists.
     """
     n, m = len(g), g._m
     if m >= 6 * n:
         twins = _twin_classes(g._succ)
         if m - sum(map(len, twins[2].values())) >= 6 * n:
-            return _along_twins(*twins)
+            return _along_twins(*twins, pos_of)
     first = _acyclic_order(g)
-    pos_of = _inverse(first)
+    pos_of = _inverse(first) if pos_of is None else pos_of
     at = [1 << p for p in pos_of]
     reach, red = _position_reach(g._succ, first, pos_of, at)
     return first, pos_of, reach, red, _above_masks(g._succ, first, pos_of, at)
 
 
-def _reach_bits(g: Digraph) -> tuple[list[int], list[int]]:
-    """Reach and redundant-head masks over vertex indices, as _position_reach's."""
+def _reach_bits(g: Digraph) -> list[int]:
+    """The oracle's input: per-arc reach masks by vertex index, independent of _along."""
     slot = range(len(g))
-    return _position_reach(g._succ, _acyclic_order(g), slot, [1 << i for i in slot])
+    return _position_reach(g._succ, _acyclic_order(g), slot, [1 << i for i in slot])[0]
 
 
 def reachability(g: Digraph) -> Relation:
     """All pairs (u, w) with a directed path of length >= 1 from u to w.
 
     The result is irreflexive because g is required to be acyclic
-    (CyclicInputError otherwise); its masks are those of _reach_bits.
+    (CyclicInputError otherwise); its masks are _along's over vertex indices.
     """
-    return Relation._from_masks(g.vertices, _reach_bits(g)[0], g._index)
+    return Relation._from_masks(g.vertices, _along(g, range(len(g)))[2], g._index)
 
 
 def _regularity(g: Digraph, pos_of: Sequence[int], red: list[int]) -> CheckResult:
@@ -712,10 +715,13 @@ def transitive_reduction(g: Digraph) -> Digraph:
     """The unique minimal subgraph of g with the same reachability.
 
     Uniqueness holds because g is acyclic; an arc is dropped exactly
-    when its head is in its tail's redundant-head mask (_position_reach).
-    The kept arcs keep g's order, so a canonical g gives a canonical result.
+    when its head is in its tail's redundant-head mask (_along, over
+    vertex indices).  A regular g is returned itself.  Otherwise the
+    kept arcs keep g's order, so a canonical g gives a canonical result.
     """
-    red = _reach_bits(g)[1]
+    red = _along(g, range(len(g)))[3]
+    if not any(red):
+        return g
     succ = [[h for h in heads if not red[t] >> h & 1] for t, heads in enumerate(g._succ)]
     tails = None
     if g._tails is not None:
@@ -726,11 +732,12 @@ def transitive_reduction(g: Digraph) -> Digraph:
 def is_regular(g: Digraph) -> CheckResult:
     """Whether g equals its own transitive reduction.
 
-    Reads the redundant-head masks of reachability's reverse pass.  On
+    Reads the redundant-head masks of _along, in Kahn's numbering.  On
     failure the witness is the first redundant arc in insertion order,
     i.e. an arc whose endpoints are also joined by a longer path.
     """
-    return _regularity(g, range(len(g)), _reach_bits(g)[1])
+    _, pos_of, _, red, _ = _along(g)
+    return _regularity(g, pos_of, red)
 
 
 def _chain_positions(c: Chain, g: Digraph) -> list[int]:
@@ -791,9 +798,7 @@ def is_admissible(c: Chain, g: Digraph) -> CheckResult:
     (by chain positions).  Requires an acyclic g covering the same
     vertex set as c; c itself does not have to be a linear extension.
     """
-    pos_of = _chain_positions(c, g)
-    reach, _ = _position_reach(g._succ, _acyclic_order(g), pos_of, [1 << p for p in pos_of])
-    hit = _admissibility_witness(reach)
+    hit = _admissibility_witness(_along(g, _chain_positions(c, g))[2])
     if hit is None:
         return CheckResult(True)
     return CheckResult(False, tuple(c.order[p] for p in hit))

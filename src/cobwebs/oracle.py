@@ -31,8 +31,8 @@ from .graphs import (
     Relation,
     Vertex,
     _iter_bits,
+    _reach_bits,
     iter_topological_orders,
-    reachability,
 )
 from .realizers import Realizer
 
@@ -123,8 +123,8 @@ class FinitePoset:
 
     @classmethod
     def from_digraph(cls, g: Digraph) -> FinitePoset:
-        """The poset whose strict order is the reachability of g."""
-        return cls(g.vertices, reachability(g))
+        """The poset whose strict order is the reachability of g, from _reach_bits."""
+        return cls(g.vertices, Relation._from_masks(g.vertices, _reach_bits(g), g._index))
 
     def strict_digraph(self) -> Digraph:
         """The strict order as a digraph, arcs in element order.

@@ -30,14 +30,11 @@ from .graphs import (
     Relation,
     Vertex,
     VertexSetMismatchError,
-    _above_masks,
-    _acyclic_order,
     _admissibility_witness,
     _along,
     _chain_positions,
     _inverse,
     _iter_bits,
-    _position_reach,
     _regularity,
 )
 
@@ -157,9 +154,10 @@ def verify_realizer(r: Realizer) -> CheckResult:
     """Check the realizer's defining equation directly.
 
     The two chains must intersect in the reflexive closure of the target's
-    reachability, taken in the first chain's positions.  On mismatch the
-    witness is the first differing pair (by target vertex order).  Chains not
-    covering the target raise VertexSetMismatchError, a cyclic target CyclicInputError.
+    reachability, _along's reach masks in the first chain's positions.  On
+    mismatch the witness is the first differing pair (by target vertex order).
+    Chains not covering the target raise VertexSetMismatchError, a cyclic
+    target CyclicInputError.
     """
     g = r.target
     # a chain's vertices are distinct, so it covers g when all n are in g
@@ -169,8 +167,7 @@ def verify_realizer(r: Realizer) -> CheckResult:
     if len(second) != len(g) or None in second:
         raise VertexSetMismatchError("chains cover different vertex sets")
     pos_of = _inverse(first)
-    reach, _ = _position_reach(g._succ, _acyclic_order(g), pos_of, [1 << p for p in pos_of])
-    walk = _mismatches(reach, [pos_of[i] for i in second])
+    walk = _mismatches(_along(g, pos_of)[2], [pos_of[i] for i in second])
     i, m = min(((first[p], m) for p, m in walk), default=(None, 0))
     if not m:
         return CheckResult(True)
@@ -214,10 +211,8 @@ def conjugate_chain(x: Chain, g: Digraph) -> Chain:
     pos_of = _chain_positions(x, g)
     if not all(pos_of[t] < pos_of[h] for t, h in g._pairs()):
         raise NotLinearExtensionError("chain is not a linear extension of the digraph")
-    order = _inverse(pos_of)
-    at = [1 << p for p in pos_of]
-    reach, _ = _position_reach(g._succ, order, pos_of, at)
-    score = _conjugate_scores(reach, _above_masks(g._succ, order, pos_of, at))
+    _, _, reach, _, above = _along(g, pos_of)
+    score = _conjugate_scores(reach, above)
     if len(set(score)) != len(score):
         hit = _admissibility_witness(reach)
         if hit is None:

@@ -16,10 +16,13 @@ from collections import deque
 import numpy as np
 
 from cobwebs import (
+    CheckResult,
     Digraph,
     FibonacciSequence,
     FinitePoset,
+    Realizer,
     Vertex,
+    VertexSetMismatchError,
     build_cobweb,
     transitive_reduction,
 )
@@ -45,13 +48,14 @@ def fib_cobweb(max_level: int):
     return build_cobweb(FibonacciSequence(), max_level)
 
 
-def bfs_pairs(g: Digraph) -> set[tuple[Vertex, Vertex]]:
-    """Reachability via plain BFS from every vertex."""
-    succ = {u: [] for u in g.vertices}
+def bfs_index_pairs(g: Digraph) -> set[tuple[int, int]]:
+    """Reachability via plain BFS from every vertex, as pairs of vertex indices."""
+    index = {u: i for i, u in enumerate(g.vertices)}
+    succ = [[] for _ in g.vertices]
     for t, h in g.arcs:
-        succ[t].append(h)
+        succ[index[t]].append(index[h])
     pairs = set()
-    for start in g.vertices:
+    for start in range(len(succ)):
         seen = set()
         queue = deque(succ[start])
         while queue:
@@ -62,6 +66,12 @@ def bfs_pairs(g: Digraph) -> set[tuple[Vertex, Vertex]]:
             pairs.add((start, u))
             queue.extend(succ[u])
     return pairs
+
+
+def bfs_pairs(g: Digraph) -> set[tuple[Vertex, Vertex]]:
+    """Reachability via plain BFS from every vertex."""
+    vs = g.vertices
+    return {(vs[i], vs[j]) for i, j in bfs_index_pairs(g)}
 
 
 def matrix_closure_pairs(g: Digraph) -> set[tuple[Vertex, Vertex]]:
@@ -103,6 +113,35 @@ def intersection_pairs(order_a, order_b) -> set[tuple[Vertex, Vertex]]:
         for w in ra
         if ra[u] <= ra[w] and rb[u] <= rb[w]
     }
+
+
+def reference_verify(r: Realizer) -> CheckResult:
+    """The realizer equation on explicit sets of vertex index pairs, with BFS reachability."""
+    g = r.target
+    if r.first.vertex_set != frozenset(g.vertices):
+        raise VertexSetMismatchError(
+            "realizer chains do not cover the target's vertex set"
+        )
+    if r.first.vertex_set != r.second.vertex_set:
+        raise VertexSetMismatchError("chains cover different vertex sets")
+    index = {u: i for i, u in enumerate(g.vertices)}
+    n = len(index)
+    rank_a, rank_b = [0] * n, [0] * n
+    for rank, chain in ((rank_a, r.first), (rank_b, r.second)):
+        for k, u in enumerate(chain):
+            rank[index[u]] = k
+    got = {
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if rank_a[i] <= rank_a[j] and rank_b[i] <= rank_b[j]
+    }
+    expected = bfs_index_pairs(g) | {(i, i) for i in range(n)}
+    diff = got.symmetric_difference(expected)
+    if not diff:
+        return CheckResult(True)
+    i, j = min(diff)
+    return CheckResult(False, (g.vertices[i], g.vertices[j]))
 
 
 def all_triangular_dags(n: int, level: int = 0):

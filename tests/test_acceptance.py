@@ -28,6 +28,7 @@ from cobwebs import (
     order_dimension,
     reachability,
     strict_order_relation,
+    transitive_reduction,
     verify_realizer,
 )
 
@@ -35,6 +36,7 @@ from helpers import (
     all_triangular_dags,
     fib_cobweb,
     random_regular_dag,
+    reference_verify,
     standard_3d_poset,
 )
 
@@ -123,6 +125,7 @@ def test_4_decision_agrees_with_brute_force():
             )
             if isinstance(verdict, Orderable):
                 assert verify_realizer(verdict.realizer)
+                assert verify_realizer(verdict.realizer) == reference_verify(verdict.realizer)
                 return True
             assert verdict.exhaustive
             return False
@@ -191,3 +194,16 @@ def test_7_conjugate_matches_descending_chain():
                 chain, descending_chain(p)
             ), f"mismatch at level {level}"
         info["detail"] = "8 levels"
+
+
+def test_8_hasse_reachability_at_scale():
+    # the paper's claim on the built cobwebs, through the order queries:
+    # the Hasse digraph is regular and its reachability is the order
+    with report(8, "Hasse reachability and regularity, fib levels 17..20",
+                limit_seconds=10.0) as info:
+        for level in range(17, 21):
+            p = fib_cobweb(level)
+            assert reachability(p.hasse) == strict_order_relation(p), level
+            assert is_regular(p.hasse), level
+            assert transitive_reduction(p.hasse) == p.hasse, level
+        info["detail"] = f"4 levels, {len(p):,} vertices at level 20"

@@ -47,6 +47,7 @@ from cobwebs import (
     is_regular,
     iter_topological_orders,
     reachability,
+    topological_order,
     transitive_reduction,
     verify_realizer,
 )
@@ -77,6 +78,7 @@ from helpers import (
     fib_cobweb,
     graph_on,
     reference_orientation,
+    reference_verify,
     row,
     s3_plus,
     two_dimensional_order,
@@ -85,22 +87,6 @@ from helpers import (
 
 
 # ------------------------------------------------------------ references
-
-
-def reference_verify(r: Realizer) -> CheckResult:
-    """The realizer equation on explicit pair sets."""
-    if r.first.vertex_set != frozenset(r.target.vertices):
-        raise VertexSetMismatchError(
-            "realizer chains do not cover the target's vertex set"
-        )
-    got = intersect_chains(r.first, r.second).pairs
-    expected = set(reachability(r.target).pairs)
-    expected.update((u, u) for u in r.target.vertices)
-    diff = got.symmetric_difference(expected)
-    if not diff:
-        return CheckResult(True)
-    idx = r.target.index
-    return CheckResult(False, min(diff, key=lambda p: (idx(p[0]), idx(p[1]))))
 
 
 def conjugate_precedes(pairs, x: Chain, u: Vertex, w: Vertex) -> bool:
@@ -112,9 +98,11 @@ def conjugate_precedes(pairs, x: Chain, u: Vertex, w: Vertex) -> bool:
 
 def reference_cycle(x: Chain, pairs) -> tuple:
     """The first forbidden triple (x1, x2, x3) along x, by brute force, as (x1, x3, x2)."""
-    for a, b, c in itertools.combinations(x.order, 3):
-        if (a, c) in pairs and not {(a, b), (b, a), (b, c), (c, b)} & pairs:
-            return (a, c, b)
+    rank = {u: k for k, u in enumerate(x.order)}
+    ranked = {(rank[u], rank[w]) for u, w in pairs}  # pairs of positions along x
+    for a, b, c in itertools.combinations(range(len(x)), 3):
+        if (a, c) in ranked and not {(a, b), (b, a), (b, c), (c, b)} & ranked:
+            return (x[a], x[c], x[b])
     raise AssertionError("no forbidden triple")
 
 
@@ -498,13 +486,9 @@ def two_dimensional_orders(draw, max_n=60):
 
 def orientation_inputs(g: Digraph, rng: random.Random):
     """Reach and above masks along Kahn's order and along a random extension."""
-    _, _, reach, _, above = _along(g)
-    yield reach, above
-    pos_of = _chain_positions(random_extension(g, rng), g)
-    order = _inverse(pos_of)
-    at = [1 << p for p in pos_of]
-    reach, _ = _position_reach(g._succ, order, pos_of, at)
-    yield reach, _above_masks(g._succ, order, pos_of, at)
+    for pos_of in (None, _chain_positions(random_extension(g, rng), g)):
+        _, _, reach, _, above = _along(g, pos_of)
+        yield reach, above
 
 
 def same_orientation(g: Digraph, rng: random.Random) -> list:
@@ -574,10 +558,13 @@ class TestDecisionsAtScale:
 # ------------------------------------------------------------- twin classes
 
 
-def per_arc_along(g: Digraph) -> tuple:
-    """_along's lists from the per-arc passes, whatever the quotient."""
+def per_arc_along(g: Digraph, pos_of: list[int] | None = None) -> tuple:
+    """_along's lists from the per-arc passes, whatever the quotient.
+
+    The masks are taken in ``pos_of``'s numbering, Kahn's by default.
+    """
     first = _acyclic_order(g)
-    pos_of = _inverse(first)
+    pos_of = _inverse(first) if pos_of is None else pos_of
     at = [1 << p for p in pos_of]
     reach, red = _position_reach(g._succ, first, pos_of, at)
     return first, pos_of, reach, red, _above_masks(g._succ, first, pos_of, at)
@@ -640,6 +627,19 @@ class TestTwinClasses:
         assert _along_twins(*twins) == per_arc_along(g) == _along(g)
 
     @settings(max_examples=300, deadline=None)
+    @given(lexicographic_sums(), st.randoms(use_true_random=False))
+    def test_any_numbering(self, case, rng):
+        g, _, _ = case
+        pos_of = list(range(len(g)))
+        rng.shuffle(pos_of)
+        got = _along(g, pos_of)
+        assert _along_twins(*_twin_classes(g._succ), pos_of) == per_arc_along(g, pos_of) == got
+        reach = [0] * len(g)
+        for u, w in bfs_pairs(g):
+            reach[pos_of[g.index(u)]] |= 1 << pos_of[g.index(w)]
+        assert got[2] == reach
+
+    @settings(max_examples=300, deadline=None)
     @given(lexicographic_sums())
     def test_verdict_is_the_quotients(self, case):
         g, q, _ = case
@@ -649,6 +649,7 @@ class TestTwinClasses:
             assert isinstance(verdict, Orderable) == truth
             if truth:
                 assert verify_realizer(verdict.realizer)
+                assert verify_realizer(verdict.realizer) == reference_verify(verdict.realizer)
         else:
             assert isinstance(verdict, NotRegular)
         assert (_dimension_up_to_2(g) is not None) == truth
@@ -658,6 +659,57 @@ class TestTwinClasses:
         g = graph_on(4, [(a, b) for a in range(4) for b in range(4) if a // 2 != b // 2])
         with pytest.raises(CyclicInputError):
             _along_twins(*_twin_classes(g._succ))
+
+    def test_cyclic_classes_raise_in_any_numbering(self):
+        g = graph_on(4, [(a, b) for a in range(4) for b in range(4) if a // 2 != b // 2])
+        pos_of = [3, 1, 0, 2]
+        with pytest.raises(CyclicInputError):
+            _along_twins(*_twin_classes(g._succ), pos_of)
+        with pytest.raises(CyclicInputError):
+            _along(g, pos_of)
+
+    @pytest.mark.parametrize(
+        "spec, max_level",
+        [("fib", 10), ("const:8", 10), ("list:4,10,10,10,4", 4)],
+    )
+    def test_queries_match_the_references(self, spec, max_level):
+        p = build_cobweb(parse_sequence_spec(spec), max_level)
+        rng = random.Random(max_level)
+        vertices, arcs = list(p.hasse.vertices), list(p.hasse.arcs)
+        shortcut = (p.levels[0][0], p.levels[2][0])  # also reached through level 1
+        rng.shuffle(vertices)
+        rng.shuffle(arcs)
+        g = Digraph(vertices, arcs)
+        for h in (g, Digraph(vertices, arcs + [shortcut])):
+            # both are past _along's cut points, so every query reads the quotient
+            quotient_arcs = sum(map(len, _twin_classes(h._succ)[2].values()))
+            assert h._m - quotient_arcs >= 6 * len(h)
+            pairs = bfs_pairs(h)
+            assert reachability(h).pairs == pairs
+            redundant = reference_redundant_arcs(h)
+            assert bool(redundant) == (h is not g)
+            kept = tuple(arc for arc in h.arcs if arc not in redundant)
+            assert transitive_reduction(h).arcs == kept
+            regular = is_regular(h)
+            assert (regular.ok, regular.witness) == (not redundant, (redundant or [None])[0])
+        assert transitive_reduction(g) is g
+        r = decide_orderable(g).realizer
+        assert verify_realizer(r) == reference_verify(r) == CheckResult(True)
+        second = list(r.second)
+        i = rng.randrange(len(second) - 1)
+        second[i], second[i + 1] = second[i + 1], second[i]
+        bad = Realizer(r.first, Chain(second), g)
+        assert verify_realizer(bad) == reference_verify(bad)
+        assert not verify_realizer(bad)
+        pairs = bfs_pairs(g)
+        for x in (Chain(topological_order(g)), random_extension(g, rng)):
+            try:
+                a, c, b = reference_cycle(x, pairs)
+            except AssertionError:  # no forbidden triple
+                assert is_admissible(x, g) == CheckResult(True)
+            else:
+                assert is_admissible(x, g) == CheckResult(False, (a, b, c))
+            assert outcome(conjugate_chain, x, g) == outcome(reference_conjugate, x, g)
 
     @pytest.mark.parametrize(
         "spec, max_level",
@@ -700,6 +752,7 @@ class TestTwinClasses:
         assert passes and max(passes) == max_level + 1  # one node per level
         assert isinstance(verdict, Orderable)
         assert verify_realizer(verdict.realizer)
+        assert verify_realizer(verdict.realizer) == reference_verify(verdict.realizer)
         assert (regular.ok, admissible.ok, dimension) == (True, True, 2)
 
 
@@ -1017,6 +1070,7 @@ class TestNoRecursionPerVertex:
         assert isinstance(verdict, Orderable)
         assert verdict.realizer.first.order == p.hasse.vertices
         assert verify_realizer(verdict.realizer)
+        assert verify_realizer(verdict.realizer) == reference_verify(verdict.realizer)
 
     def test_fib_14_decided_50_frames_deep(self):
         p = fib_cobweb(14)

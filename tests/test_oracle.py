@@ -236,7 +236,7 @@ class TestMaskConstructor:
     @settings(max_examples=60, deadline=None)
     @given(dags_up_to_9())
     def test_same_poset_as_from_pairs(self, g):
-        reach = Relation._from_masks(g.vertices, _reach_bits(g)[0], g._index)
+        reach = Relation._from_masks(g.vertices, _reach_bits(g), g._index)
         got = FinitePoset(g.vertices, reach)
         want = FinitePoset(g.vertices, frozenset(bfs_pairs(g)))
         assert (got.elements, got.strict) == (want.elements, want.strict)
