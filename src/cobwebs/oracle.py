@@ -4,24 +4,25 @@ Everything here takes the slow road on purpose: linear extensions are
 enumerated outright and dimension questions are settled on them
 directly.  Two extensions intersect in the order exactly when the
 second reverses every incomparable pair of the first, so each extension
-has one possible partner, and the pair search looks that partner up
-among all extensions; a third one is found by an acyclicity test.
+has one possible partner, an extension when the numbers of elements
+after each of its elements differ (Landau 1953); the pair search joins
+each prefix to a suffix by those numbers, and a third extension is
+found by an acyclicity test.
 
-``FinitePoset`` keeps its order as the bitmasks of a ``Relation``, and
-every routine here reads them; it enumerates its extensions once and
-keeps them, so the pair search and ``order_dimension`` share one
-enumeration, which meets in the middle of the down-set lattice.
-``enumerate_linear_extensions`` runs the topological-order enumerator
-of the graphs module.  The module shares no search logic with the
-realizer construction, so agreement between the two is meaningful
-evidence.  Hard size guards keep the combinatorics from running away.
+``FinitePoset`` keeps its order as the bitmasks of a ``Relation``, which
+every routine here reads, and runs one down-set dynamic program, meeting
+in the middle, for both the pair search and ``order_dimension``.
+``enumerate_linear_extensions`` runs the topological-order enumerator of
+the graphs module.  Nothing here shares search logic with the realizer
+construction, so agreement between the two is meaningful evidence.
+Hard size guards keep the combinatorics from running away.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, product
+from itertools import product
 from typing import Iterator
 
 from .graphs import (
@@ -58,6 +59,8 @@ for _k in range(MAX_PAIR_SEARCH_SIZE):
     _BITS += tuple(bits + (_k,) for bits in _BITS)
 del _k
 
+_Halves = tuple[list[tuple[int, int]], dict[int, list[int]], int]
+
 
 class TooLargeError(ValueError):
     """The input exceeds the size guard of a brute-force routine."""
@@ -81,9 +84,9 @@ class FinitePoset:
     outside ``elements``, with its messages.  The order axioms
     (irreflexivity, antisymmetry, transitivity) are then validated in
     that order, a failure naming the first violation in element order.
-    The extension pair masks are computed on first use and kept for the
-    poset's lifetime, outside the dataclass fields: up to 9! masks at
-    the pair-search guard while the poset is alive.
+    The halves of the extension masks and the realizing pair are kept
+    from first use for the poset's lifetime, outside the dataclass
+    fields: 18,144 masks on the 9-element antichain, not its 9!.
     """
 
     elements: tuple[Vertex, ...]
@@ -138,10 +141,10 @@ class FinitePoset:
         return len(self.elements)
 
     @cached_property
-    def _extensions(self) -> tuple[list[int], int, int, tuple[int, int] | None]:
-        """``_extension_pair_masks`` and the realizing pair, enumerated once."""
-        masks, target, incomp = _extension_pair_masks(self)
-        return masks, target, incomp, _realizing_pair(masks, incomp)
+    def _extensions(self) -> tuple[_Halves, tuple[int, int] | None]:
+        """``_extension_halves`` and the realizing pair, computed once."""
+        halves = _extension_halves(self)
+        return halves, _realizing_pair(halves, len(self))
 
 
 def enumerate_linear_extensions(
@@ -158,28 +161,31 @@ def enumerate_linear_extensions(
     return iter_topological_orders(p.strict_digraph(), limit)
 
 
-def _extension_pair_masks(p: FinitePoset) -> tuple[list[int], int, int]:
-    """Pair-set bitmasks of all extensions, lexicographically; target; incomp.
+def _extension_halves(p: FinitePoset) -> _Halves:
+    """The (mask, down-set) prefixes, the suffix masks of each middle down-set; incomp.
 
-    The mask of an extension has bit i*n + j set exactly when element i
-    comes before element j; ``target`` is the mask of the strict order
-    and ``incomp`` that of the ordered incomparable pairs.  Placing i on
-    top of the down-set ``placed`` puts i before every element still
-    unplaced, so the pairs placed later depend on ``placed`` alone: each
-    down-set's list of suffix masks is built once, level by level from
-    the full set down to the down-sets of ``n // 2`` elements, a level
-    dropped once the next is built; concatenating over i ascending
-    keeps each list lexicographic.  The prefixes of ``n // 2`` elements
-    grow forward the same way, so they come lexicographically too, and
-    each extension is its prefix's mask OR a suffix mask of the
-    prefix's down-set.  Only the middle level's suffixes are held
-    beside the result, so on the 9-element antichain the enumeration
-    takes about 30 ms and peaks at 1.05 times the 15 MiB of masks it
-    returns.  ``FinitePoset._extensions`` keeps them while the poset lives.
+    The pair mask of an extension has bit i*n + j set exactly when
+    element i comes before element j; ``incomp`` is the mask of the
+    ordered incomparable pairs.  Placing i on top of the down-set
+    ``placed`` puts i before every element still unplaced, so the pairs
+    placed later depend on ``placed`` alone: each down-set's list of
+    suffix masks is built once, level by level from the full set down
+    to the down-sets of ``n // 2`` elements, a level dropped once the
+    next is built; concatenating over i ascending keeps each list
+    lexicographic.  The (mask, down-set) prefixes of ``n // 2`` elements
+    grow forward the same way, lexicographically too, and each extension
+    is its prefix's mask OR a suffix mask of the prefix's down-set.  The
+    count of elements after i in the partner ``m ^ incomp``, those above
+    i and the incomparable ones before it in m, depends on ``placed``
+    alone too: each mask also sets bit n*n + count per element it places.
     """
     n = len(p)
     pred, succ = p._pred, p.strict._masks
     full = (1 << n) - 1
+
+    def row(placed: int, i: int) -> int:
+        count = (placed ^ pred[i] ^ succ[i]).bit_count()
+        return (full ^ placed ^ 1 << i) << (i * n) | 1 << n * n + count
     larger = {full: [0]}  # the suffix masks of each down-set one larger
     for _ in range(n - n // 2):
         # a down-set one smaller drops one of its maximal elements
@@ -193,40 +199,54 @@ def _extension_pair_masks(p: FinitePoset) -> tuple[list[int], int, int]:
             rest = full ^ placed
             for i in _BITS[rest]:
                 if not pred[i] & rest:
-                    bits = (rest ^ 1 << i) << (i * n)
+                    bits = row(placed, i)
                     suffixes += [bits | m for m in larger[placed | 1 << i]]
         larger = level
-    prefixes = [(0, 0)]  # (pair mask, down-set) of each prefix, lexicographically
+    prefixes = [(0, 0)]  # (mask, down-set) of each prefix, lexicographically
     for _ in range(n // 2):
         prefixes = [
-            (mask | (full ^ placed ^ 1 << i) << (i * n), placed | 1 << i)
+            (mask | row(placed, i), placed | 1 << i)
             for mask, placed in prefixes
             for i in _BITS[full ^ placed]
             if not pred[i] & ~placed
         ]
-    masks = [mask | m for mask, placed in prefixes for m in larger[placed]]
+    incomp = sum((full ^ 1 << i ^ pred[i] ^ succ[i]) << (i * n) for i in range(n))
+    return prefixes, larger, incomp
+
+
+def _extension_pair_masks(p: FinitePoset) -> tuple[list[int], int, int]:
+    """All extension masks, lexicographically, count bits stripped; target; incomp."""
+    (prefixes, suffixes, incomp), _ = p._extensions
+    n = len(p)
     pairs = (1 << n * n) - 1
-    target = sum(above << (i * n) for i, above in enumerate(succ))
-    transpose = sum(below << (i * n) for i, below in enumerate(pred))
-    diagonal = sum(1 << (i * n + i) for i in range(n))
-    incomp = pairs & ~diagonal & ~target & ~transpose
+    masks = [(mask | m) & pairs for mask, placed in prefixes for m in suffixes[placed]]
+    target = sum(above << (i * n) for i, above in enumerate(p.strict._masks))
     return masks, target, incomp
 
 
-def _realizing_pair(masks: list[int], incomp: int) -> tuple[int, int] | None:
-    """The first mask, in order, with a partner intersecting it in the order.
+def _realizing_pair(halves: _Halves, n: int) -> tuple[int, int] | None:
+    """The first extension mask, in order, whose partner is an extension.
 
-    An extension's mask m holds the order's mask ``target`` and misses
-    its transpose and the diagonal, so ``m == target | (m & incomp)``: its only possible
-    partner is ``m ^ incomp``, and ``m & (m ^ incomp) == target`` holds
-    for every m.  So the first m whose partner is an extension gives the
-    pair.  Partnership is symmetric, so the first hit is also the first
-    pair (i, j >= i) of a scan over all pairs.
+    An extension's mask m holds the order's and misses its transpose, so
+    its only possible partner is ``m ^ incomp``, meeting it in the order.
+    That partner is a tournament holding the order, so it is an
+    extension exactly when its n counts differ (Landau 1953): when the
+    count sets of m's prefix and suffix partition ``range(n)``.  Each
+    prefix looks that suffix up among its down-set's, keyed on first use
+    by the first suffix per count set.  Partnership is symmetric, so the
+    first hit is the first pair (i, j >= i) of a scan over all pairs.
     """
-    present = set(masks)
-    hits = compress(masks, map(present.__contains__, map(incomp.__xor__, masks)))
-    m = next(hits, None)
-    return None if m is None else (m, m ^ incomp)
+    prefixes, suffixes, incomp = halves
+    top, full = n * n, (1 << n) - 1
+    joins: dict[int, dict[int, int]] = {}
+    for mask, placed in prefixes:
+        if placed not in joins:
+            joins[placed] = {m >> top: m for m in reversed(suffixes[placed])}
+        m = joins[placed].get(mask >> top ^ full)
+        if m is not None:
+            m = (mask | m) & (1 << top) - 1
+            return m, m ^ incomp
+    return None
 
 
 def _chain_of(mask: int, p: FinitePoset) -> Chain:
@@ -241,15 +261,15 @@ def _chain_of(mask: int, p: FinitePoset) -> Chain:
 def brute_force_dim_le_2(p: FinitePoset) -> CheckResult:
     """Search all pairs of linear extensions for one realizing p.
 
-    Every extension is enumerated and looked up against its one
-    possible partner.  The witness on success is a
+    Each extension's prefix is joined to the suffixes that make its one
+    possible partner an extension.  The witness on success is a
     verified-by-construction Realizer over the strict order digraph (the
     two chains may coincide, e.g. for a total order).  Refuses posets
     larger than MAX_PAIR_SEARCH_SIZE elements.  Deterministic: the
     lexicographically first realizing pair wins.
     """
     _check_size(len(p), MAX_PAIR_SEARCH_SIZE, "pair-search")
-    pair = p._extensions[3]
+    pair = p._extensions[1]
     if pair is None:
         return CheckResult(False)
     first, second = (_chain_of(m, p) for m in pair)
@@ -288,11 +308,11 @@ def order_dimension(p: FinitePoset, max_k: int = 3) -> int | None:
         return 1
     if max_k == 1:
         return None
-    masks, _, incomp, pair = p._extensions
-    if pair:
+    if p._extensions[1]:
         return 2
     if max_k == 2:
         return None
+    masks, _, incomp = _extension_pair_masks(p)
     pred, succ = p._pred, p.strict._masks
     critical = sum(  # incomparable, below(a) <= below(b), above(b) <= above(a)
         1 << (a * n + b)

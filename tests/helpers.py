@@ -287,6 +287,18 @@ def reference_extension_pair_masks(p: FinitePoset) -> tuple[list[int], int, int]
     return larger[0], target, pairs & ~diagonal & ~target & ~transpose
 
 
+def reference_realizing_pair(masks: list[int], incomp: int) -> tuple[int, int] | None:
+    """The first extension mask, in order, whose partner is one: by set lookup.
+
+    The reference for ``oracle._realizing_pair``, which joins prefixes to
+    suffixes by their partner counts: every mask goes into a set, and
+    each one's only possible partner ``m ^ incomp`` is looked up there.
+    """
+    present = set(masks)
+    m = next((m for m in masks if m ^ incomp in present), None)
+    return None if m is None else (m, m ^ incomp)
+
+
 def two_dimensional_order(
     x: list[int], y: list[int], order: list[int], s3: bool = False
 ) -> Digraph:

@@ -41,6 +41,7 @@ from helpers import (
     permutation_extensions,
     random_regular_dag,
     reference_extension_pair_masks,
+    reference_realizing_pair,
     row,
     s3_plus,
     standard_3d_poset,
@@ -515,7 +516,7 @@ class TestOrderDimension:
 
 
 class TestPairSearchAgainstTheDefinition:
-    """The partner lookup against a literal scan over all pairs of extensions."""
+    """The pair search against a literal scan over all pairs of extensions."""
 
     @staticmethod
     def assert_same_as_reference(p):
@@ -568,6 +569,21 @@ class TestPairSearchAgainstTheDefinition:
                 want = reference_dimension(p, k)
                 assert order_dimension(p, k) == want, (k, sorted(p.strict))
 
+    def test_nine_element_antichain_peak_memory(self):
+        """No set or list of all 362,880 extension masks: the halves only.
+
+        The join peaks under 1 MiB here; a set lookup over every mask
+        peaked at 39.3 MiB.
+        """
+        p = poset_of(graph_on(9, []))
+        tracemalloc.start()
+        try:
+            assert brute_force_dim_le_2(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_nine_element_antichain_in_time(self):
         p = poset_of(graph_on(9, []))
         start = perf_counter()
@@ -579,20 +595,69 @@ class TestPairSearchAgainstTheDefinition:
         assert elapsed < 1.5
 
 
+class TestJoinAgainstTheSetLookup:
+    """The count-set join against a set of every extension mask, up to 9 elements."""
+
+    @staticmethod
+    def assert_same_as_reference(p):
+        p = FinitePoset(p.elements, p.strict)  # fresh, nothing enumerated yet
+        masks, _, incomp = _extension_pair_masks(p)
+        want = reference_realizing_pair(masks, incomp)
+        assert p._extensions[1] == want, sorted(p.strict)
+
+    def test_s3_plus_3_in_both_listings(self):
+        s3 = s3_plus(0)
+        self.assert_same_as_reference(s3_plus(3))
+        isolated_first = tuple(row(3, 2)) + s3.elements
+        self.assert_same_as_reference(FinitePoset(isolated_first, s3.strict))
+
+    @pytest.mark.parametrize(
+        "arcs",
+        [
+            pytest.param([(i, i + 1) for i in range(8)], id="9-chain"),
+            pytest.param([(0, j) for j in range(1, 9)], id="one-minimal-of-9"),
+            pytest.param([(j, 8) for j in range(8)], id="one-maximal-of-9"),
+        ],
+    )
+    def test_lopsided_9_element_posets(self, arcs):
+        self.assert_same_as_reference(poset_of(graph_on(9, arcs)))
+
+    @pytest.mark.parametrize("n", range(10))
+    def test_antichains_and_chains(self, n):
+        chain = [(i, i + 1) for i in range(n - 1)]
+        self.assert_same_as_reference(poset_of(graph_on(n, [])))
+        self.assert_same_as_reference(poset_of(graph_on(n, chain)))
+
+    def test_seeded_dags_with_9_vertices(self):
+        posets = seeded_posets(40, (9,))
+        assert any(not brute_force_dim_le_2(p) for p in posets)
+        for p in posets:
+            self.assert_same_as_reference(p)
+
+
+def counted_calls(monkeypatch, name):
+    """The posets that oracle's ``name`` is called on from now on."""
+    calls = []
+    function = getattr(oracle, name)
+
+    def counted(p):
+        calls.append(p)
+        return function(p)
+
+    monkeypatch.setattr(oracle, name, counted)
+    return calls
+
+
 class TestExtensionsOncePerPoset:
-    """The pair masks are enumerated once per poset and never seen from outside."""
+    """The down-set DP runs once per poset and is never seen from outside."""
 
     @pytest.fixture
     def enumerations(self, monkeypatch):
-        calls = []
-        enumerate_masks = oracle._extension_pair_masks
+        return counted_calls(monkeypatch, "_extension_halves")
 
-        def counted(p):
-            calls.append(p)
-            return enumerate_masks(p)
-
-        monkeypatch.setattr(oracle, "_extension_pair_masks", counted)
-        return calls
+    @pytest.fixture
+    def mask_lists(self, monkeypatch):
+        return counted_calls(monkeypatch, "_extension_pair_masks")
 
     @staticmethod
     def seeded_dimension_2():
@@ -607,6 +672,17 @@ class TestExtensionsOncePerPoset:
         assert order_dimension(p, 2) == (2 if dim == 2 else None)
         assert order_dimension(p, 3) == dim
         assert enumerations == [p]
+
+    def test_dimension_2_never_builds_the_mask_list(self, enumerations, mask_lists):
+        p = self.seeded_dimension_2()
+        p = FinitePoset(p.elements, p.strict)
+        enumerations.clear()
+        mask_lists.clear()  # choosing p built the lists of dimension-3 posets
+        assert brute_force_dim_le_2(p)
+        assert order_dimension(p, 2) == 2
+        assert order_dimension(p, 3) == 2
+        assert enumerations == [p]
+        assert mask_lists == []
 
     def test_a_chain_is_never_enumerated(self, enumerations):
         assert order_dimension(poset_of(graph_on(4, [(0, 1), (1, 2), (2, 3)])), 1) == 1
