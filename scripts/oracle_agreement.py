@@ -4,7 +4,8 @@
 Samples regular DAGs (random upper-triangular graphs reduced to their
 covers), runs both deciders on each, and reports any disagreement.  The
 oracle's own realizer must verify, and on graphs with at most
-MAX_DIMENSION_SIZE (8) vertices order_dimension must agree as well.
+MAX_DIMENSION_SIZE (8) vertices order_dimension, run up to its third
+extension, must read 1 or 2 exactly when the decider says orderable.
 Exit status 0 means full agreement.
 
     python3 scripts/oracle_agreement.py --count 500 --sizes 6,7 --seed 7
@@ -94,7 +95,7 @@ def main() -> int:
             disagreements += 1
             print(f"[{k}] oracle realizer fails to verify: {g.arcs}")
         if len(g) <= MAX_DIMENSION_SIZE and (
-            order_dimension(poset, 2) in (1, 2)
+            order_dimension(poset) in (1, 2)
         ) != isinstance(verdict, Orderable):
             disagreements += 1
             print(f"[{k}] order_dimension disagrees with the decider: {g.arcs}")

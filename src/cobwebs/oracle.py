@@ -1,17 +1,18 @@
 """Brute-force ground truth for small posets.
 
-Everything here takes the slow road on purpose: linear extensions are
-enumerated outright and dimension questions are settled on them
-directly.  Two extensions intersect in the order exactly when the
-second reverses every incomparable pair of the first, so each extension
-has one possible partner, an extension when the numbers of elements
-after each of its elements differ (Landau 1953); the pair search joins
-each prefix to a suffix by those numbers, and a third extension is
-found by an acyclicity test.
+Everything here takes the slow road on purpose: dimension questions
+are settled on the linear extensions directly.  Two extensions
+intersect in the order exactly when the second reverses every
+incomparable pair of the first, so each extension has one possible
+partner, an extension when the numbers of elements after each of its
+elements differ (Landau 1953); the pair search joins each prefix to a
+suffix by those numbers, and a third extension is found by an
+acyclicity test.
 
 ``FinitePoset`` keeps its order as the bitmasks of a ``Relation``, which
 every routine here reads, and runs one down-set dynamic program, meeting
-in the middle, for both the pair search and ``order_dimension``.
+in the middle, whose halves the pair search and ``order_dimension`` both
+join per down-set: no list of every extension is built.
 ``enumerate_linear_extensions`` runs the topological-order enumerator of
 the graphs module.  Nothing here shares search logic with the realizer
 construction, so agreement between the two is meaningful evidence.
@@ -53,7 +54,7 @@ MAX_PAIR_SEARCH_SIZE = 9
 MAX_DIMENSION_SIZE = 8
 
 # _BITS[m] lists the set bits of m ascending, for every m below
-# 1 << MAX_PAIR_SEARCH_SIZE: the masks of the pair search and of order_dimension.
+# 1 << MAX_PAIR_SEARCH_SIZE: the down-sets of _extension_halves and their complements.
 _BITS: tuple[tuple[int, ...], ...] = ((),)
 for _k in range(MAX_PAIR_SEARCH_SIZE):
     _BITS += tuple(bits + (_k,) for bits in _BITS)
@@ -84,8 +85,8 @@ class FinitePoset:
     outside ``elements``, with its messages.  The order axioms
     (irreflexivity, antisymmetry, transitivity) are then validated in
     that order, a failure naming the first violation in element order.
-    The halves of the extension masks and the realizing pair are kept
-    from first use for the poset's lifetime, outside the dataclass
+    The halves of the extension masks, which both oracle questions join,
+    and the realizing pair are kept from first use, outside the dataclass
     fields: 18,144 masks on the 9-element antichain, not its 9!.
     """
 
@@ -214,16 +215,6 @@ def _extension_halves(p: FinitePoset) -> _Halves:
     return prefixes, larger, incomp
 
 
-def _extension_pair_masks(p: FinitePoset) -> tuple[list[int], int, int]:
-    """All extension masks, lexicographically, count bits stripped; target; incomp."""
-    (prefixes, suffixes, incomp), _ = p._extensions
-    n = len(p)
-    pairs = (1 << n * n) - 1
-    masks = [(mask | m) & pairs for mask, placed in prefixes for m in suffixes[placed]]
-    target = sum(above << (i * n) for i, above in enumerate(p.strict._masks))
-    return masks, target, incomp
-
-
 def _realizing_pair(halves: _Halves, n: int) -> tuple[int, int] | None:
     """The first extension mask, in order, whose partner is an extension.
 
@@ -293,14 +284,15 @@ def _completes(pred: tuple[int, ...], pairs: int) -> bool:
 def order_dimension(p: FinitePoset, max_k: int = 3) -> int | None:
     """Smallest number of linear extensions intersecting in p, up to max_k.
 
-    Returns None when the dimension exceeds ``max_k`` (1, 2 or 3).
+    Returns None when the dimension exceeds ``max_k``, the int 1, 2 or 3.
     Extensions realize p exactly when each critical pair is reversed by
     one (Trotter, *Dimension Theory*, 1992), and a third extension
     reverses the critical pairs two others put forward exactly when the
-    order stays acyclic with them reversed.  Refuses posets beyond
-    MAX_DIMENSION_SIZE elements, which admits S4 (dimension 4).
+    order stays acyclic with them reversed.  Those forward projections
+    are each down-set's distinct prefix ones ORed with its suffix ones.
+    Refuses posets beyond MAX_DIMENSION_SIZE elements, which admits S4.
     """
-    if max_k not in (1, 2, 3):
+    if type(max_k) is not int or max_k not in (1, 2, 3):
         raise ValueError(f"max_k must be 1, 2 or 3, got {max_k}")
     n = len(p)
     _check_size(n, MAX_DIMENSION_SIZE, "dimension")
@@ -312,13 +304,19 @@ def order_dimension(p: FinitePoset, max_k: int = 3) -> int | None:
         return 2
     if max_k == 2:
         return None
-    masks, _, incomp = _extension_pair_masks(p)
+    (prefixes, suffixes, incomp), _ = p._extensions
     pred, succ = p._pred, p.strict._masks
     critical = sum(  # incomparable, below(a) <= below(b), above(b) <= above(a)
         1 << (a * n + b)
         for a, b in product(range(n), repeat=2)
         if incomp >> (a * n + b) & 1 and not pred[a] & ~pred[b] | succ[b] & ~succ[a]
     )
-    forward = list({m & critical for m in masks})
+    heads: dict[int, set[int]] = {}  # each down-set's prefix projections
+    for mask, placed in prefixes:
+        heads.setdefault(placed, set()).add(mask & critical)
+    forward = list({
+        a | b for placed, ends in heads.items()
+        for b in {m & critical for m in suffixes[placed]} for a in ends
+    })
     shared = (fi & fj for i, fi in enumerate(forward) for fj in forward[i:])
     return 3 if any(_completes(pred, both) for both in shared) else None

@@ -249,11 +249,11 @@ def reference_orientation(reach: list[int], above: list[int]) -> list[int] | Non
 
 
 def reference_extension_pair_masks(p: FinitePoset) -> tuple[list[int], int, int]:
-    """The oracle's extension pair masks, target and incomp, with a bit generator.
+    """Every extension's pair mask, target and incomp, with a bit generator.
 
-    The reference for ``oracle._extension_pair_masks``, which reads a
-    table of set bits: the same down-set levels, walked with a
-    generator over each mask's set bits.
+    The reference for ``joined_extension_masks``, the oracle's halves
+    read from a table of set bits: the same down-set levels, all the way
+    down, walked with a generator over each mask's set bits.
     """
 
     def bits(mask):
@@ -285,6 +285,65 @@ def reference_extension_pair_masks(p: FinitePoset) -> tuple[list[int], int, int]
     transpose = sum(below << (i * n) for i, below in enumerate(pred))
     diagonal = sum(1 << (i * n + i) for i in range(n))
     return larger[0], target, pairs & ~diagonal & ~target & ~transpose
+
+
+def joined_extension_masks(p: FinitePoset) -> tuple[list[int], int, int]:
+    """Every extension mask, lexicographically, count bits stripped; target; incomp.
+
+    Each prefix of the oracle's cached halves ORed with every suffix of
+    its down-set: the list that ``reference_extension_pair_masks`` builds,
+    which the oracle itself never builds.
+    """
+    (prefixes, suffixes, incomp), _ = p._extensions
+    n = len(p)
+    pairs = (1 << n * n) - 1
+    masks = [(mask | m) & pairs for mask, placed in prefixes for m in suffixes[placed]]
+    target = sum(above << (i * n) for i, above in enumerate(p.strict._masks))
+    return masks, target, incomp
+
+
+def reference_order_dimension(p: FinitePoset) -> int | None:
+    """The dimension of p, or None above 3, from the list of every extension.
+
+    The reference for ``oracle.order_dimension(p, 3)``, which joins the
+    critical projections per down-set: here the critical pairs are read
+    off ``p.strict``, every mask of ``reference_extension_pair_masks`` is
+    projected onto them, and a third extension reverses what two others
+    put forward exactly when the order stays acyclic with those reversed.
+    """
+    masks, _, _ = reference_extension_pair_masks(p)
+    n = len(p)
+    idx = {e: i for i, e in enumerate(p.elements)}
+    order = {(idx[a], idx[b]) for a, b in p.strict}
+    below = [{a for a, c in order if c == b} for b in range(n)]
+    above = [{c for a, c in order if a == b} for b in range(n)]
+    critical = sum(
+        1 << (a * n + b)
+        for a, b in itertools.permutations(range(n), 2)
+        if (a, b) not in order and (b, a) not in order
+        and below[a] <= below[b] and above[b] <= above[a]
+    )
+    forward = sorted({m & critical for m in masks})
+
+    def acyclic(reversed_pairs: int) -> bool:
+        arcs = order | {
+            (b, a) for a, b in itertools.product(range(n), repeat=2)
+            if reversed_pairs >> (a * n + b) & 1
+        }
+        left = set(range(n))
+        while left:
+            sources = {b for b in left if not any((a, b) in arcs for a in left)}
+            if not sources:
+                return False
+            left -= sources
+        return True
+
+    if 0 in forward:
+        return 1
+    if any(x & y == 0 for x, y in itertools.combinations(forward, 2)):
+        return 2
+    pairs = itertools.combinations_with_replacement(forward, 2)
+    return 3 if any(acyclic(x & y) for x, y in pairs) else None
 
 
 def reference_realizing_pair(masks: list[int], incomp: int) -> tuple[int, int] | None:

@@ -31,16 +31,17 @@ from cobwebs import (
 
 from cobwebs import oracle
 from cobwebs.graphs import _reach_bits
-from cobwebs.oracle import _extension_pair_masks
 
 from helpers import (
     all_triangular_dags,
     bfs_pairs,
     fib_cobweb,
     graph_on,
+    joined_extension_masks,
     permutation_extensions,
     random_regular_dag,
     reference_extension_pair_masks,
+    reference_order_dimension,
     reference_realizing_pair,
     row,
     s3_plus,
@@ -301,12 +302,12 @@ class TestExtensionMasksMatchReference:
     @given(dags_up_to_9())
     def test_posets_up_to_9_elements(self, g):
         p = poset_of(g)
-        assert _extension_pair_masks(p) == reference_extension_pair_masks(p)
+        assert joined_extension_masks(p) == reference_extension_pair_masks(p)
 
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_s3_plus_isolated(self, k):
         p = s3_plus(k)
-        assert _extension_pair_masks(p) == reference_extension_pair_masks(p)
+        assert joined_extension_masks(p) == reference_extension_pair_masks(p)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_every_dag_on_up_to_3_elements_in_every_order(self, n):
@@ -314,7 +315,7 @@ class TestExtensionMasksMatchReference:
         for g in all_triangular_dags(n):
             for vs in itertools.permutations(g.vertices):
                 p = poset_of(Digraph(list(vs), g.arcs))
-                assert _extension_pair_masks(p) == reference_extension_pair_masks(p)
+                assert joined_extension_masks(p) == reference_extension_pair_masks(p)
 
     @pytest.mark.parametrize(
         "arcs",
@@ -326,12 +327,12 @@ class TestExtensionMasksMatchReference:
     )
     def test_lopsided_9_element_posets(self, arcs):
         p = poset_of(graph_on(9, arcs))
-        assert _extension_pair_masks(p) == reference_extension_pair_masks(p)
+        assert joined_extension_masks(p) == reference_extension_pair_masks(p)
 
     def test_s3_plus_3_with_the_isolated_elements_first(self):
         s3 = s3_plus(0)
         p = FinitePoset(tuple(row(3, 2)) + s3.elements, s3.strict)
-        assert _extension_pair_masks(p) == reference_extension_pair_masks(p)
+        assert joined_extension_masks(p) == reference_extension_pair_masks(p)
 
     def test_peak_memory_stays_near_the_result(self):
         """Only the masks returned, not two full levels of suffixes, at the peak.
@@ -343,7 +344,7 @@ class TestExtensionMasksMatchReference:
         p = poset_of(graph_on(9, []))
         tracemalloc.start()
         try:
-            masks, _, _ = _extension_pair_masks(p)
+            masks, _, _ = joined_extension_masks(p)
             size, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -481,8 +482,9 @@ class TestOrderDimension:
             order_dimension(p, max_k=0)
         with pytest.raises(ValueError):
             order_dimension(p, max_k=4)
-        # S3+1 has dimension 3, which a max_k below 3 must never return
-        for max_k in (0.5, 1.5, 2.5, 3.5):
+        # S3+1 has dimension 3, which a max_k below 3 must never return;
+        # True would run as 1 and 3.0 as 3, so neither is an int 1, 2 or 3
+        for max_k in (0.5, 1.5, 2.5, 3.5, True, 3.0):
             with pytest.raises(ValueError) as info:
                 order_dimension(s3_plus(1), max_k)
             assert str(info.value) == f"max_k must be 1, 2 or 3, got {max_k}"
@@ -504,6 +506,29 @@ class TestOrderDimension:
         elapsed = perf_counter() - start
         assert got == want
         assert elapsed < 1
+
+    def test_peaks_below_the_list_of_every_mask(self):
+        """The third-extension test joins halves: it never lists every extension.
+
+        On a fresh S3+2 the list of its 2,688 masks alone traces about
+        116 KiB; the join peaks near 83 KiB, the list of every mask and
+        its projections near 187 KiB.
+        """
+        tracemalloc.start()
+        try:
+            masks, _, _ = reference_extension_pair_masks(s3_plus(2))
+            listed, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(masks) == 2688
+        p = s3_plus(2)
+        tracemalloc.start()
+        try:
+            assert order_dimension(p) == 3
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < listed
 
     @settings(max_examples=25, deadline=None)
     @given(small_posets())
@@ -550,7 +575,7 @@ class TestPairSearchAgainstTheDefinition:
             *(poset_of(graph_on(n, [])) for n in range(8)),
         ]
         for p in posets:
-            masks, target, incomp = _extension_pair_masks(p)
+            masks, target, incomp = joined_extension_masks(p)
             _, want, want_target = reference_masks(p)
             assert (masks, target) == (want, want_target)
             idx = {e: i for i, e in enumerate(p.elements)}
@@ -568,6 +593,20 @@ class TestPairSearchAgainstTheDefinition:
             for k in (1, 2, 3):
                 want = reference_dimension(p, k)
                 assert order_dimension(p, k) == want, (k, sorted(p.strict))
+
+    def test_order_dimension_at_8_elements_matches_the_mask_list(self):
+        """The join against the projections of every extension mask.
+
+        The k-fold reference above does not finish on S3+2 in minutes.
+        """
+        s3 = s3_plus(0)
+        isolated_first = FinitePoset(tuple(row(2, 2)) + s3.elements, s3.strict)
+        no_pair = [p for p in seeded_posets(300, (8,)) if not brute_force_dim_le_2(p)]
+        posets = [s3_plus(2), isolated_first, standard_example(4), *no_pair]
+        dims = [order_dimension(p, 3) for p in posets]
+        assert dims == [reference_order_dimension(p) for p in posets]
+        assert dims[:3] == [3, 3, None]
+        assert 3 in dims[3:]
 
     def test_nine_element_antichain_peak_memory(self):
         """No set or list of all 362,880 extension masks: the halves only.
@@ -601,7 +640,7 @@ class TestJoinAgainstTheSetLookup:
     @staticmethod
     def assert_same_as_reference(p):
         p = FinitePoset(p.elements, p.strict)  # fresh, nothing enumerated yet
-        masks, _, incomp = _extension_pair_masks(p)
+        masks, _, incomp = joined_extension_masks(p)
         want = reference_realizing_pair(masks, incomp)
         assert p._extensions[1] == want, sorted(p.strict)
 
@@ -655,10 +694,6 @@ class TestExtensionsOncePerPoset:
     def enumerations(self, monkeypatch):
         return counted_calls(monkeypatch, "_extension_halves")
 
-    @pytest.fixture
-    def mask_lists(self, monkeypatch):
-        return counted_calls(monkeypatch, "_extension_pair_masks")
-
     @staticmethod
     def seeded_dimension_2():
         return next(p for p in seeded_posets(20, (7,)) if order_dimension(p) == 2)
@@ -673,16 +708,15 @@ class TestExtensionsOncePerPoset:
         assert order_dimension(p, 3) == dim
         assert enumerations == [p]
 
-    def test_dimension_2_never_builds_the_mask_list(self, enumerations, mask_lists):
+    def test_dimension_2_never_builds_the_mask_list(self, enumerations):
+        """No path lists every mask: see test_peaks_below_the_list_of_every_mask."""
         p = self.seeded_dimension_2()
         p = FinitePoset(p.elements, p.strict)
         enumerations.clear()
-        mask_lists.clear()  # choosing p built the lists of dimension-3 posets
         assert brute_force_dim_le_2(p)
         assert order_dimension(p, 2) == 2
         assert order_dimension(p, 3) == 2
         assert enumerations == [p]
-        assert mask_lists == []
 
     def test_a_chain_is_never_enumerated(self, enumerations):
         assert order_dimension(poset_of(graph_on(4, [(0, 1), (1, 2), (2, 3)])), 1) == 1
